@@ -1,33 +1,22 @@
 // E7 — single-run speed (DESIGN.md §9): how fast is ONE big simulation,
-// end-to-end, under the PR-3 kernel changes? Four configurations of the
-// SAME workload, bit-identity enforced between them:
+// end-to-end? Three configurations of the SAME workload, bit-identity
+// enforced between them:
 //
-//   serial_pr2_kernel   type-erased event queue + unique_ptr-per-release
-//                       job allocation — the PR-2 hot path, kept behind
-//                       SimConfig::{force_dynamic_event_queue,job_arena}
-//                       precisely for this A/B;
-//   serial_dynamic      type-erased event queue, arena-recycled jobs
-//                       (isolates the allocation win);
-//   serial              the devirtualized default path (static event
-//                       queue + job arena + NullSink) — what every
-//                       default-config simulation now runs on;
-//   sharded             the per-core parallel runner (shards=0: one
-//                       worker per hardware thread);
-//   serial_traced       serial with the RecordSink (trace + metrics
-//                       recording, DESIGN.md §10) — the
-//                       NullSink-vs-recording A/B;
-//   sharded_traced      the sharded runner with per-lane RecordSinks and
-//                       the post-run canonical merge.
+//   serial          the devirtualized default path (static event queue
+//                   + job arena + NullSink) — what every default-config
+//                   simulation runs on;
+//   sharded         the per-core parallel runner (shards=0: one worker
+//                   per hardware thread);
+//   serial_traced   serial with the RecordSink (trace + metrics
+//                   recording, DESIGN.md §10) — the NullSink-vs-recording
+//                   A/B. Recording runs are always serial, whatever
+//                   their shard count.
 //
-// On top of the SimResult bit-identity check, the two traced variants'
-// merged traces are compared BYTE-FOR-BYTE (the §10 determinism
-// contract re-proved on every perf run).
-//
-// Workloads are the queue-ablation partitions at m=16 and m=64 — the
-// scales where the ROADMAP flagged single-run latency as the remaining
-// serial bottleneck. Wall times are best-of-SPS_REPS; results land in
-// BENCH_single_run.json, which tools/check_bench_regression.py compares
-// (ratio-wise, per workload) against bench/baselines/.
+// Workloads are the queue-ablation partitions at m=16 and m=64. Wall
+// times are best-of-SPS_REPS (default 10) after one untimed warm-up run
+// per variant; results land in BENCH_single_run.json, which
+// tools/check_bench_regression.py compares (ratio-wise, per workload)
+// against bench/baselines/.
 //
 // The bench FAILS (non-zero exit) if any configuration's SimResult
 // deviates from the serial default's — the determinism contract is
@@ -35,9 +24,8 @@
 //
 // NOTE on expectations: the sharded runner only pays off when the
 // machine has cores to spare AND the partition's split-task coupling is
-// sparse (DESIGN.md §9). On a single-hardware-thread host it degrades
-// to the serial schedule plus round overhead — the JSON records
-// hardware_threads so the trajectory is interpretable.
+// sparse (DESIGN.md §9). The JSON records hardware_threads so the
+// trajectory is interpretable.
 
 #include <algorithm>
 #include <chrono>
@@ -52,7 +40,6 @@
 #include "partition/spa.hpp"
 #include "rt/generator.hpp"
 #include "sim/engine.hpp"
-#include "trace/gantt.hpp"
 #include "util/json_writer.hpp"
 
 namespace {
@@ -89,13 +76,6 @@ std::vector<Variant> Variants(Time horizon) {
   base.horizon = horizon;
   base.overheads = overhead::OverheadModel::PaperCoreI7();
 
-  Variant pr2{"serial_pr2_kernel", base};
-  pr2.cfg.force_dynamic_event_queue = true;
-  pr2.cfg.job_arena = false;
-
-  Variant dyn{"serial_dynamic", base};
-  dyn.cfg.force_dynamic_event_queue = true;
-
   Variant serial{"serial", base};
 
   Variant sharded{"sharded", base};
@@ -105,12 +85,7 @@ std::vector<Variant> Variants(Time horizon) {
   traced.cfg.record_trace = true;
   traced.cfg.record_metrics = true;
 
-  Variant sharded_traced{"sharded_traced", base};
-  sharded_traced.cfg.shards = 0;
-  sharded_traced.cfg.record_trace = true;
-  sharded_traced.cfg.record_metrics = true;
-
-  return {pr2, dyn, serial, sharded, traced, sharded_traced};
+  return {serial, sharded, traced};
 }
 
 /// The fields the differential tests compare, flattened for equality.
@@ -143,20 +118,25 @@ struct Measured {
 
 bool RunWorkload(util::JsonWriter& json, const char* label,
                  const partition::Partition& p, Time horizon, int reps) {
-  std::vector<Measured> out;
-  for (const Variant& v : Variants(horizon)) {
-    Measured m;
-    m.name = v.name;
-    m.wall_s = 1e100;
-    for (int rep = 0; rep < reps; ++rep) {
+  const std::vector<Variant> variants = Variants(horizon);
+  std::vector<Measured> out(variants.size());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    out[i].name = variants[i].name;
+    out[i].wall_s = 1e100;
+    out[i].result = sim::Simulate(p, variants[i].cfg);  // untimed warm-up
+  }
+  // Reps interleave the variants, so a host that drifts in speed over
+  // the run moves every variant's best time alike and the ratios the
+  // regression check compares stay put.
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < variants.size(); ++i) {
       const auto t0 = std::chrono::steady_clock::now();
-      sim::SimResult r = sim::Simulate(p, v.cfg);
+      sim::SimResult r = sim::Simulate(p, variants[i].cfg);
       const auto t1 = std::chrono::steady_clock::now();
-      m.wall_s = std::min(m.wall_s,
-                          std::chrono::duration<double>(t1 - t0).count());
-      m.result = std::move(r);
+      out[i].wall_s = std::min(
+          out[i].wall_s, std::chrono::duration<double>(t1 - t0).count());
+      out[i].result = std::move(r);
     }
-    out.push_back(std::move(m));
   }
 
   // Bit-identity across every configuration (the serial default is the
@@ -173,34 +153,6 @@ bool RunWorkload(util::JsonWriter& json, const char* label,
       ok = false;
     }
   }
-  // Byte-identity of the canonical traces and equality of the metrics
-  // across serial and sharded recording (DESIGN.md §10).
-  const Measured* traced = nullptr;
-  const Measured* sharded_traced = nullptr;
-  for (const Measured& m : out) {
-    if (m.name == "serial_traced") traced = &m;
-    if (m.name == "sharded_traced") sharded_traced = &m;
-  }
-  if (traced != nullptr && sharded_traced != nullptr) {
-    if (traced->result.trace_events.empty()) {
-      std::fprintf(stderr, "FAIL %s: traced run recorded no events\n",
-                   label);
-      ok = false;
-    }
-    if (trace::ToCsv(traced->result.trace_events) !=
-        trace::ToCsv(sharded_traced->result.trace_events)) {
-      std::fprintf(stderr,
-                   "FAIL %s: sharded trace deviates from serial trace\n",
-                   label);
-      ok = false;
-    }
-    if (!(traced->result.metrics == sharded_traced->result.metrics)) {
-      std::fprintf(stderr,
-                   "FAIL %s: sharded metrics deviate from serial\n", label);
-      ok = false;
-    }
-  }
-
   for (const Measured& m : out) {
     json.BeginObject();
     json.Key("workload").Value(label);
@@ -223,7 +175,7 @@ bool RunWorkload(util::JsonWriter& json, const char* label,
 
 int main() {
   using sps::bench::EnvInt;
-  const int reps = std::max(1, EnvInt("SPS_REPS", 5));
+  const int reps = std::max(1, EnvInt("SPS_REPS", 10));
   const Time horizon = Millis(std::max(1, EnvInt("SPS_HORIZON_MS", 200)));
 
   util::JsonWriter json;

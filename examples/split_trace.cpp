@@ -50,8 +50,9 @@ int main() {
   cfg.horizon = Millis(40);  // two periods of the split task
   cfg.overheads = model;
   // The observability sink (DESIGN.md §10) delivers the canonical trace
-  // and the streaming metrics in the SimResult itself; no recorder
-  // object, and the same two flags work under --shards in sps_cli.
+  // and the streaming metrics in the SimResult itself. Recording runs
+  // are serial, so in sps_cli these two flags give the same bytes under
+  // any --shards value.
   cfg.record_trace = true;
   cfg.record_metrics = true;
   const sim::SimResult r = Simulate(p, cfg);

@@ -86,8 +86,9 @@
 // --shards=N runs the per-core sharded simulator with N total threads
 // (this process counts as one; 0 = one per hardware thread) for
 // single-run mode and the validation simulations; results are
-// bit-identical to --shards=1 — including traces and metrics
-// (DESIGN.md §10), so every observability flag composes with --shards.
+// bit-identical to --shards=1. A run that records a trace or metrics
+// always takes the serial loop, so --shards never changes recorded
+// output (DESIGN.md §10).
 //
 // Observability (DESIGN.md §10):
 //   --trace             record the scheduler event stream, print Gantt
@@ -133,8 +134,7 @@
 //   --trace-stream[=W]  stream the single-run trace through the
 //                       bounded-memory window (W stamped records,
 //                       default 65536) into the SAME Perfetto document
-//                       --trace-out would write — byte-identical, any
-//                       --shards value
+//                       --trace-out would write — byte-identical
 //
 // Examples:
 //   ./build/examples/sps_cli --algo=spa2 --util=0.95

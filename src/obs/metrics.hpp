@@ -3,10 +3,9 @@
 // of response time and tardiness per task, and wall-occupancy accounting
 // (busy / overhead / idle) per core. Everything here is accumulated
 // ONLINE by the recording sink (obs/sink.hpp) — plain integer adds into
-// fixed-size storage, no allocation on the simulation hot path — and is
-// merged across shard lanes by commutative sums/maxes, so a sharded run
-// reports exactly the metrics of the serial run (the same determinism
-// contract as SimResult itself).
+// fixed-size storage, no allocation on the simulation hot path.
+// Histograms merge by elementwise sum (the acceptance sweep aggregates
+// its validation runs per utilization point that way).
 //
 // This header is layering-bottom: it depends only on rt/time.hpp so the
 // kernel can embed RunMetrics in SimResult without a cycle. Assembly of
@@ -78,24 +77,15 @@ struct TaskMetrics {
   LogHistogram tardiness;  ///< completion - deadline, late completions only
   Time max_tardiness = 0;
 
-  TaskMetrics& operator+=(const TaskMetrics& o) {
-    response += o.response;
-    tardiness += o.tardiness;
-    max_tardiness = std::max(max_tardiness, o.max_tardiness);
-    return *this;
-  }
   bool operator==(const TaskMetrics&) const = default;
 };
 
-/// Per-core wall-occupancy over the observed span (the horizon, or —
-/// for a halted stop-on-first-miss run — the end of the last booked
-/// activity, which the halting dispatch may push slightly past the
-/// halt instant): every nanosecond of the
-/// span is exactly one of busy (task code incl. CPMD — including the
-/// truncated in-flight segment at the span end, which SimResult's
-/// booked-progress busy_exec excludes), overhead (rls/sch/cnt1/cnt2
-/// windows, clamped to the span), or idle (gap-accumulated between
-/// activities). busy + overhead + idle == span is the §10 conservation
+/// Per-core wall-occupancy over the observed span (the horizon): every
+/// nanosecond of the span is exactly one of busy (task code incl. CPMD —
+/// including the truncated in-flight segment at the span end, which
+/// SimResult's booked-progress busy_exec excludes), overhead
+/// (rls/sch/cnt1/cnt2 windows, clamped to the span), or idle
+/// (gap-accumulated between activities). busy + overhead + idle == span is the §10 conservation
 /// invariant, checked in tests/test_obs.cpp.
 struct CoreMetrics {
   Time busy = 0;
@@ -110,9 +100,7 @@ struct CoreMetrics {
 struct RunMetrics {
   std::vector<TaskMetrics> tasks;
   std::vector<CoreMetrics> cores;
-  /// The observed span the per-core accounting covers: the horizon for
-  /// completed runs; for halted ones the end of the last booked
-  /// activity (>= the halt instant, <= the horizon).
+  /// The observed span the per-core accounting covers: the horizon.
   Time span = 0;
 
   [[nodiscard]] bool enabled() const { return !tasks.empty(); }

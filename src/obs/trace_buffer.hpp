@@ -1,13 +1,9 @@
 #pragma once
-// Per-lane trace recording (DESIGN.md §10). The kernel no longer streams
-// trace events into a shared vector (which is what forced traced runs
-// onto the serial path): each lane appends STAMPED events to its own
-// arena-backed TraceBuffer, and the canonical trace of a run — serial or
-// sharded, byte-identical either way — is produced afterwards by a
-// deterministic k-way merge over the lane buffers.
+// Trace recording (DESIGN.md §10). A recording run appends STAMPED events
+// to an arena-backed TraceBuffer, and the canonical trace of the run is
+// the buffer sorted by stamp.
 //
-// The stamp is what makes the merge exact. Every record carries the
-// identity of the DISPATCH that emitted it:
+// Every record carries the identity of the DISPATCH that emitted it:
 //
 //   key      the dispatched event's packed (time, kind) key — the same
 //            total order the event queue pops in;
@@ -19,22 +15,17 @@
 //   chain    which same-(key, tiebreak) dispatch this is. Zero-cost
 //            overhead windows make back-to-back overhead-end dispatches
 //            for one core at one instant the NORM, so a per-subject
-//            counter disambiguates them. The chain index is lane-local
-//            state, and it is shard-invariant because a subject's events
-//            are only ever pushed by that subject's own lane, in the
-//            lane's deterministic dispatch order;
+//            counter disambiguates them;
 //   ordinal  position within the dispatch (a handler emits several
 //            events: release + overhead begin, ...).
 //
 // (key, tiebreak, chain, ordinal) is a total order over all records of a
-// run, and every component is a pure function of the simulation — not of
-// the shard count or thread interleaving. Sorting by it therefore yields
-// the same byte sequence from any execution mode. Note the canonical
-// order refines the serial dispatch order only up to same-key ties
-// across DIFFERENT subjects (serial interleaves those by insertion
-// order, the canonical order by subject index); per-core subsequences —
-// what the Gantt renderer and every existing consumer read — are
-// unchanged.
+// run, and every component is a pure function of the simulation. The
+// serial loop breaks same-key ties by insertion order; the canonical
+// order breaks ties across DIFFERENT subjects by subject index instead,
+// so the sort is what fixes the trace bytes. Per-core subsequences —
+// what the Gantt renderer and every existing consumer read — follow
+// dispatch order either way.
 
 #include <algorithm>
 #include <cstdint>
@@ -66,7 +57,7 @@ struct StampedEvent {
 
 /// Append-only event storage with stable chunks carved from a SlabArena —
 /// the same O(log n)-real-allocations story as every other hot-path
-/// container here (util/arena.hpp). A lane appends millions of records
+/// container here (util/arena.hpp). A run appends millions of records
 /// without ever touching the global allocator in steady state.
 ///
 /// Streaming-window mode (DESIGN.md §15) additionally POPS from the
@@ -96,7 +87,7 @@ class TraceBuffer {
 
   /// Pop the finalized prefix: every record whose stamp key is strictly
   /// below `key_limit`, appended (stamp-sorted) to `out`. Valid because
-  /// a lane's append order is key-monotone — DES dispatch time never
+  /// the append order is key-monotone — DES dispatch time never
   /// decreases — so the below-limit records form exactly the front of
   /// the buffer; the sort only settles same-key ties (chain/ordinal).
   /// Fully-consumed chunks are recycled into the arena.
@@ -128,22 +119,26 @@ class TraceBuffer {
               });
   }
 
-  /// Copy out every live record, sorted by stamp. Lane-local append order
-  /// is already key-sorted (DES time never goes backwards), so this sort
-  /// only reorders same-key ties — near-linear in practice.
-  [[nodiscard]] std::vector<StampedEvent> Sorted() const {
-    std::vector<StampedEvent> out;
-    out.reserve(size());
+  /// Copy out every live record's event in stamp order: the canonical
+  /// trace. Append order is already key-sorted (DES time never goes
+  /// backwards), so this sort only reorders same-key ties — near-linear
+  /// in practice.
+  [[nodiscard]] std::vector<trace::Event> SortedEvents() const {
+    std::vector<StampedEvent> all;
+    all.reserve(size());
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
       const std::size_t b = c == 0 ? head_ : 0;
       const std::size_t n =
           c + 1 == chunks_.size() ? used_ : kChunkEvents;
-      out.insert(out.end(), chunks_[c]->ev + b, chunks_[c]->ev + n);
+      all.insert(all.end(), chunks_[c]->ev + b, chunks_[c]->ev + n);
     }
-    std::stable_sort(out.begin(), out.end(),
+    std::stable_sort(all.begin(), all.end(),
                      [](const StampedEvent& a, const StampedEvent& b) {
                        return a.stamp < b.stamp;
                      });
+    std::vector<trace::Event> out;
+    out.reserve(all.size());
+    for (const StampedEvent& e : all) out.push_back(e.event);
     return out;
   }
 
@@ -157,17 +152,17 @@ class TraceBuffer {
 
 /// Statistics of one streamed run, handed to TraceDrain::OnFinish.
 /// peak_resident is the maximum LIVE stamped-record count observed at
-/// the drain points (summed over lanes) — the bounded-memory claim the
-/// streaming-window tests assert against the configured window.
+/// the drain points — the bounded-memory claim the streaming-window
+/// tests assert against the configured window.
 struct TraceStreamStats {
   std::size_t events = 0;
   std::size_t batches = 0;
   std::size_t peak_resident = 0;
 };
 
-/// Consumer of a streaming-window traced run. The driver calls OnEvents
-/// with stamp-ordered batches — concatenated, they are byte-for-byte the
-/// canonical full-buffer trace (the §10 merge order) — then OnFinish
+/// Consumer of a streaming-window traced run. The event loop calls
+/// OnEvents with stamp-ordered batches — concatenated, they are
+/// byte-for-byte the canonical full-buffer trace — then OnFinish
 /// exactly once with the run's streaming stats.
 class TraceDrain {
  public:
@@ -175,56 +170,5 @@ class TraceDrain {
   virtual void OnEvents(const std::vector<trace::Event>& batch) = 0;
   virtual void OnFinish(const TraceStreamStats& stats) = 0;
 };
-
-/// K-way merge of per-lane stamp-SORTED runs, appended to `out` in
-/// stamp order. The heap repeatedly takes the lane whose head stamp is
-/// smallest (ties impossible: a stamp identifies one dispatch of one
-/// subject, and a subject's dispatches all happen on one lane). Shared
-/// by the post-run full-buffer merge and the streaming-window drain —
-/// one merge order, so the two paths are byte-identical by
-/// construction.
-inline void MergeSortedRuns(const std::vector<std::vector<StampedEvent>>& sorted,
-                            std::vector<trace::Event>& out) {
-  std::size_t total = 0;
-  for (const std::vector<StampedEvent>& run : sorted) total += run.size();
-  out.reserve(out.size() + total);
-
-  // Binary min-heap of lane heads, keyed by stamp.
-  std::vector<std::size_t> head(sorted.size(), 0);
-  std::vector<std::size_t> heap;
-  heap.reserve(sorted.size());
-  auto stamp_of = [&](std::size_t lane) -> const Stamp& {
-    return sorted[lane][head[lane]].stamp;
-  };
-  auto heap_less = [&](std::size_t a, std::size_t b) {
-    return stamp_of(b) < stamp_of(a);  // min-heap via greater-than
-  };
-  for (std::size_t l = 0; l < sorted.size(); ++l) {
-    if (!sorted[l].empty()) heap.push_back(l);
-  }
-  std::make_heap(heap.begin(), heap.end(), heap_less);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_less);
-    const std::size_t lane = heap.back();
-    heap.pop_back();
-    out.push_back(sorted[lane][head[lane]].event);
-    if (++head[lane] < sorted[lane].size()) {
-      heap.push_back(lane);
-      std::push_heap(heap.begin(), heap.end(), heap_less);
-    }
-  }
-}
-
-/// Deterministic k-way merge of per-lane buffers into the canonical
-/// event sequence (the full-buffer path).
-[[nodiscard]] inline std::vector<trace::Event> MergeTraceBuffers(
-    const std::vector<const TraceBuffer*>& lanes) {
-  std::vector<std::vector<StampedEvent>> sorted;
-  sorted.reserve(lanes.size());
-  for (const TraceBuffer* b : lanes) sorted.push_back(b->Sorted());
-  std::vector<trace::Event> out;
-  MergeSortedRuns(sorted, out);
-  return out;
-}
 
 }  // namespace sps::obs

@@ -4,12 +4,10 @@
 #include <cassert>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "obs/sink.hpp"
-#include "obs/trace_buffer.hpp"
 #include "sim/kernel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -86,15 +84,17 @@ class Engine final
 
   static kernel::KernelConfig MakeKernelConfig(const partition::Partition& p,
                                                const SimConfig& cfg) {
-    kernel::KernelConfig k{p.num_cores, cfg.horizon, cfg.overheads,
-                           cfg.exec, cfg.arrivals,
-                           cfg.stop_on_first_miss,
-                           cfg.event_backend, cfg.job_arena,
-                           cfg.record_trace, cfg.record_metrics};
-    k.exec_generations = cfg.exec_generations;
-    k.trace_drain = cfg.trace_drain;
-    k.trace_window = cfg.trace_window;
-    return k;
+    return kernel::KernelConfig{.num_cores = p.num_cores,
+                                .horizon = cfg.horizon,
+                                .overheads = cfg.overheads,
+                                .exec = cfg.exec,
+                                .arrivals = cfg.arrivals,
+                                .event_backend = cfg.event_backend,
+                                .record_trace = cfg.record_trace,
+                                .record_metrics = cfg.record_metrics,
+                                .exec_generations = cfg.exec_generations,
+                                .trace_drain = cfg.trace_drain,
+                                .trace_window = cfg.trace_window};
   }
 
   Engine(const partition::Partition& p, const SimConfig& cfg,
@@ -115,13 +115,10 @@ class Engine final
   using Base::BootShard;
   using Base::CollectShardInto;
   using Base::DrainMailbox;
-  using Base::FinalizeShardObservability;
   using Base::FinalizeTasksInto;
-  using Base::halted;
   using Base::NextEventKey;
   using Base::Run;
   using Base::RunWindow;
-  using Base::sink;
 
  private:
   using Base::CoreAt;
@@ -509,18 +506,12 @@ std::vector<std::vector<std::uint32_t>> SenderLanes(
 /// sender lanes (a lane dispatching packed key K can only emit keys >=
 /// K+1 cross-lane, so nothing that orders before the bound can still
 /// arrive). Bit-identical to the serial engine by construction: per-task
-/// RNG streams, deterministic mailbox ordering, unique ready keys —
-/// and, with a recording sink, the per-lane trace buffers merge into
-/// the byte-identical canonical trace (DESIGN.md §10).
-///
-/// Returns nullopt when a stop_on_first_miss run observed a miss: the
-/// per-lane halt flags are aggregated at the drain barrier, the sharded
-/// attempt is abandoned (lanes have over-processed past the miss), and
-/// the caller reruns serially for the exact serial halt point.
-template <typename ReadyQ, typename SleepQ, typename EventQ, typename Sink>
-std::optional<SimResult> RunSharded(const partition::Partition& p,
-                                    const SimConfig& cfg, unsigned threads) {
-  using Eng = Engine<ReadyQ, SleepQ, EventQ, Sink>;
+/// RNG streams, deterministic mailbox ordering, unique ready keys.
+/// Non-recording runs only: a run that records takes the serial loop.
+template <typename ReadyQ, typename SleepQ, typename EventQ>
+SimResult RunSharded(const partition::Partition& p, const SimConfig& cfg,
+                     unsigned threads) {
+  using Eng = Engine<ReadyQ, SleepQ, EventQ, NullSink>;
   const std::size_t m = p.num_cores;
 
   kernel::ShardRouter<Job> router(m);
@@ -552,89 +543,18 @@ std::optional<SimResult> RunSharded(const partition::Partition& p,
   std::vector<std::uint64_t> next_key(m, Eng::kNoEventKey);
   std::vector<std::uint64_t> bound(m, Eng::kNoEventKey);
 
-  // Streaming trace window, sharded flavor (DESIGN.md §15): at the
-  // phase-1 barrier every lane's next-event key is published, and any
-  // future dispatch anywhere carries a key >= W = min(next_key) (a
-  // cross-lane emission adds at least one rank on top of its dispatch
-  // key). So each lane's below-W records — a stamp-key-monotone PREFIX
-  // of its append order — are final; DrainBelow pops and sorts them and
-  // the stamped k-way merge emits exactly the prefix the full-buffer
-  // merge would. Byte-identity with the serial and full-buffer paths by
-  // construction.
-  const bool streaming = cfg.trace_drain != nullptr && cfg.record_trace;
-  obs::TraceStreamStats stream_stats;
-  std::vector<std::vector<obs::StampedEvent>> stream_runs;
-  std::vector<trace::Event> stream_batch;
-  auto stream_drain_below = [&](std::uint64_t limit) {
-    if constexpr (Sink::kActive) {
-      std::size_t resident = 0;
-      for (std::size_t c = 0; c < m; ++c) {
-        resident += shards[c]->sink().buffer().size();
-      }
-      stream_stats.peak_resident =
-          std::max(stream_stats.peak_resident, resident);
-      if (stream_runs.size() != m) stream_runs.resize(m);
-      std::size_t total = 0;
-      for (std::size_t c = 0; c < m; ++c) {
-        stream_runs[c].clear();
-        shards[c]->sink_mut().buffer_mut().DrainBelow(limit, stream_runs[c]);
-        total += stream_runs[c].size();
-      }
-      if (total == 0) return;
-      stream_batch.clear();
-      obs::MergeSortedRuns(stream_runs, stream_batch);
-      cfg.trace_drain->OnEvents(stream_batch);
-      stream_stats.events += total;
-      ++stream_stats.batches;
-    } else {
-      (void)limit;
-    }
-  };
-
   for (;;) {
     // Phase 1: deliver cross-lane events, publish every lane's clock.
     pool->ParallelFor(m, [&](std::size_t c) {
       shards[c]->DrainMailbox();
       next_key[c] = shards[c]->NextEventKey();
     });
-    // Stop-on-first-miss: each lane raises its halt flag inside the
-    // processing window; the flags are read here, at the barrier. The
-    // over-processed sharded state cannot reproduce the serial halt
-    // point, so the whole attempt is discarded.
-    if (cfg.stop_on_first_miss) {
-      for (std::size_t c = 0; c < m; ++c) {
-        if (shards[c]->halted()) return std::nullopt;
-      }
-    }
     // All mailboxes are empty here (deliveries only happen in phase 2),
     // so once every lane's next event is beyond the horizon nothing can
     // ever be dispatched again.
     if (*std::min_element(next_key.begin(), next_key.end()) >
         horizon_key_max) {
       break;
-    }
-    if constexpr (Sink::kActive) {
-      if (streaming) {
-        // Drain once any lane reached its backpressure share (see
-        // RunWindow): with every lane active that is when the total
-        // nears the window; with one active lane it keeps that lane
-        // from being throttled to one event per round.
-        const std::size_t lane_cap = std::max<std::size_t>(
-            1, cfg.trace_window / std::max<std::size_t>(1, m));
-        std::size_t resident = 0;
-        std::size_t max_lane = 0;
-        for (std::size_t c = 0; c < m; ++c) {
-          const std::size_t n = shards[c]->sink().buffer().size();
-          resident += n;
-          max_lane = std::max(max_lane, n);
-        }
-        stream_stats.peak_resident =
-            std::max(stream_stats.peak_resident, resident);
-        if (max_lane >= lane_cap) {
-          stream_drain_below(
-              *std::min_element(next_key.begin(), next_key.end()));
-        }
-      }
     }
     // Earliest key each lane could still DISPATCH — its own queue, or a
     // chain of incoming emissions (each cross-lane hop adds at least one
@@ -675,72 +595,26 @@ std::optional<SimResult> RunSharded(const partition::Partition& p,
   out.cores.resize(m);
   for (std::size_t c = 0; c < m; ++c) shards[c]->CollectShardInto(out);
   shards[0]->FinalizeTasksInto(out);
-
-  // Observability merge (DESIGN.md §10): close every lane's streams,
-  // k-way-merge the stamped trace buffers into the canonical sequence,
-  // and fold the per-lane metrics (task histograms sum; each lane owns
-  // exactly its core's occupancy row). All merging is commutative or
-  // stamp-ordered, so the output is byte-identical to the serial run's.
-  if constexpr (Sink::kActive) {
-    for (std::size_t c = 0; c < m; ++c) {
-      shards[c]->FinalizeShardObservability();
-    }
-    if (cfg.record_trace) {
-      if (streaming) {
-        // Flush the remainder and report the stream's bounds; the
-        // canonical trace went through the drain (trace_events stays
-        // empty), exactly like the serial kernel's Finalize.
-        stream_drain_below(Eng::kNoEventKey);
-        cfg.trace_drain->OnFinish(stream_stats);
-      } else {
-        std::vector<const obs::TraceBuffer*> bufs;
-        bufs.reserve(m);
-        for (std::size_t c = 0; c < m; ++c) {
-          bufs.push_back(&shards[c]->sink().buffer());
-        }
-        out.trace_events = obs::MergeTraceBuffers(bufs);
-      }
-    }
-    if (cfg.record_metrics) {
-      obs::RunMetrics merged;
-      merged.tasks.resize(tasks.size());
-      merged.cores.resize(m);
-      for (std::size_t c = 0; c < m; ++c) {
-        const obs::RunMetrics& lane = shards[c]->sink().run_metrics();
-        merged.cores[c] = lane.cores[0];
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-          merged.tasks[i] += lane.tasks[i];
-        }
-        merged.span = lane.span;  // == horizon on every lane
-      }
-      out.metrics = std::move(merged);
-    }
-  }
   return out;
 }
 
 template <typename ReadyQ, typename SleepQ, typename EventQ, typename Sink>
 SimResult Dispatch(const partition::Partition& p, const SimConfig& cfg) {
-  const unsigned threads =
-      cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                      : cfg.shards;
-  // Sharding needs multiple lanes. Since PR 4 trace recording, metrics,
-  // and stop-on-first-miss all shard (the first two via per-lane sinks,
-  // the last optimistically — a detected miss falls back to the exact
-  // serial halt below). Only EDF partitions beyond the CurKey tie-break
-  // width stay serial: with aliased task indices the ready order would
-  // degrade to insertion FIFO, which is interleaving-dependent.
-  const bool edf_alias = p.policy == partition::SchedPolicy::kEdf &&
-                         p.tasks.size() > kEdfTieBreakTasks;
-  // Streaming + stop_on_first_miss must take the serial loop: an
-  // abandoned sharded attempt would already have streamed over-processed
-  // events the drain consumer cannot un-see (DESIGN.md §15).
-  const bool stream_needs_serial =
-      cfg.trace_drain != nullptr && cfg.stop_on_first_miss;
-  if (threads > 1 && p.num_cores > 1 && !edf_alias && !stream_needs_serial) {
-    std::optional<SimResult> r =
-        RunSharded<ReadyQ, SleepQ, EventQ, Sink>(p, cfg, threads);
-    if (r.has_value()) return *std::move(r);
+  // Only non-recording runs shard: recording (trace or metrics) always
+  // takes the serial loop, so one sink sees the whole run. Sharding
+  // also needs multiple lanes, and EDF partitions beyond the CurKey
+  // tie-break width stay serial: with aliased task indices the ready
+  // order would degrade to insertion FIFO, which is
+  // interleaving-dependent.
+  if constexpr (!Sink::kActive) {
+    const unsigned threads =
+        cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                        : cfg.shards;
+    const bool edf_alias = p.policy == partition::SchedPolicy::kEdf &&
+                           p.tasks.size() > kEdfTieBreakTasks;
+    if (threads > 1 && p.num_cores > 1 && !edf_alias) {
+      return RunSharded<ReadyQ, SleepQ, EventQ>(p, cfg, threads);
+    }
   }
   Engine<ReadyQ, SleepQ, EventQ, Sink> engine(p, cfg);
   return engine.Run();
@@ -783,12 +657,8 @@ std::string SimResult::summary() const {
   return out;
 }
 
-SimResult Simulate(const partition::Partition& p, const SimConfig& cfg,
-                   trace::Recorder* recorder) {
-  // A non-null enabled recorder is the legacy way to ask for a trace.
-  SimConfig ecfg = cfg;
-  if (recorder != nullptr && recorder->enabled()) ecfg.record_trace = true;
-  const bool recording = ecfg.record_trace || ecfg.record_metrics;
+SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
+  const bool recording = cfg.record_trace || cfg.record_metrics;
 
   // The default backend combination takes the fully-devirtualized
   // kernel; any override keeps the runtime-selected (type-erased) event
@@ -796,35 +666,25 @@ SimResult Simulate(const partition::Partition& p, const SimConfig& cfg,
   // doubles that only at compile time: at run time a simulation is
   // either all-NullSink (every hook compiled away — the perf-guarded
   // default) or recording.
-  SimResult r = [&]() -> SimResult {
-    if (!ecfg.force_dynamic_event_queue &&
-        ecfg.ready_backend == QueueBackend::kBinomialHeap &&
-        ecfg.sleep_backend == QueueBackend::kRbTree &&
-        ecfg.event_backend == QueueBackend::kBinomialHeap) {
-      return recording
-                 ? Dispatch<DefaultReadyQ, DefaultSleepQ, StaticEventQ,
-                            RecordSink>(p, ecfg)
-                 : Dispatch<DefaultReadyQ, DefaultSleepQ, StaticEventQ,
-                            NullSink>(p, ecfg);
-    }
-    return containers::WithQueueBackend(ecfg.ready_backend, [&](auto rb) {
-      return containers::WithQueueBackend(ecfg.sleep_backend, [&](auto sb) {
-        using ReadyQ =
-            containers::QueueOf<decltype(rb)::value, std::uint64_t, Job*>;
-        using SleepQ = containers::QueueOf<decltype(sb)::value, Time,
-                                           std::size_t>;
-        return recording
-                   ? Dispatch<ReadyQ, SleepQ, DynamicEventQ, RecordSink>(
-                         p, ecfg)
-                   : Dispatch<ReadyQ, SleepQ, DynamicEventQ, NullSink>(
-                         p, ecfg);
-      });
-    });
-  }();
-  if (recorder != nullptr && recorder->enabled()) {
-    for (const trace::Event& e : r.trace_events) recorder->record(e);
+  if (cfg.ready_backend == QueueBackend::kBinomialHeap &&
+      cfg.sleep_backend == QueueBackend::kRbTree &&
+      cfg.event_backend == QueueBackend::kBinomialHeap) {
+    return recording ? Dispatch<DefaultReadyQ, DefaultSleepQ, StaticEventQ,
+                                RecordSink>(p, cfg)
+                     : Dispatch<DefaultReadyQ, DefaultSleepQ, StaticEventQ,
+                                NullSink>(p, cfg);
   }
-  return r;
+  return containers::WithQueueBackend(cfg.ready_backend, [&](auto rb) {
+    return containers::WithQueueBackend(cfg.sleep_backend, [&](auto sb) {
+      using ReadyQ =
+          containers::QueueOf<decltype(rb)::value, std::uint64_t, Job*>;
+      using SleepQ =
+          containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
+      return recording
+                 ? Dispatch<ReadyQ, SleepQ, DynamicEventQ, RecordSink>(p, cfg)
+                 : Dispatch<ReadyQ, SleepQ, DynamicEventQ, NullSink>(p, cfg);
+    });
+  });
 }
 
 }  // namespace sps::sim

@@ -49,23 +49,15 @@ struct SimConfig {
   ExecModel exec = {};
   ArrivalModel arrivals = {};
   /// Record the scheduler event stream (DESIGN.md §10). The canonical
-  /// trace lands in SimResult::trace_events — byte-identical for every
-  /// shard count (sharded lanes record into per-lane buffers merged by
-  /// the deterministic stamped k-way merge).
+  /// trace lands in SimResult::trace_events. A recording run always
+  /// takes the serial event loop, so `shards` never changes its output.
   bool record_trace = false;
   /// Record streaming metrics (SimResult::metrics): per-task log2
   /// response/tardiness histograms, per-core busy/overhead/idle wall
-  /// accounting. Alloc-free accumulation, shard-invariant like the
-  /// trace. obs::BuildMetricsReport turns the result into an exportable
+  /// accounting. Alloc-free accumulation; serial like the trace.
+  /// obs::BuildMetricsReport turns the result into an exportable
   /// JSON/CSV report.
   bool record_metrics = false;
-  /// Stop the run at the first deadline miss (the validation experiments
-  /// assert none happen; leaving it false measures all misses). Sharded
-  /// runs proceed optimistically and, if any lane observes a miss (the
-  /// per-window flag checked at the drain barrier), rerun serially for
-  /// the exact serial halt point — identical results either way, and the
-  /// expensive path only triggers when the validated property FAILED.
-  bool stop_on_first_miss = false;
   /// Queue backends (DESIGN.md §6 ablation): which container implements
   /// each per-core queue. Defaults are the paper's choices.
   containers::QueueBackend ready_backend =
@@ -81,15 +73,10 @@ struct SimConfig {
   /// (DESIGN.md §9): 1 = the classic serial event loop, 0 = one thread
   /// per hardware thread, N = exactly N total threads (the caller
   /// counts as one). Results are BIT-IDENTICAL for every value
-  /// (tests/test_queue_concept.cpp) — including recorded traces and
-  /// metrics (DESIGN.md §10). Only EDF sets past the (now 16-bit)
-  /// tie-break width still fall back to serial.
+  /// (tests/test_queue_concept.cpp). Recording runs (record_trace or
+  /// record_metrics) and EDF sets past the 16-bit tie-break width
+  /// always run serial.
   unsigned shards = 1;
-  /// Bench A/B knobs (bench_single_run): force the type-erased event
-  /// queue even for the default backend / restore PR-2's per-release
-  /// job allocation. Not for normal use.
-  bool force_dynamic_event_queue = false;
-  bool job_arena = true;
   /// Per-task admission generations, indexed by the task's position in
   /// the partition (ascending id for online-controller partitions;
   /// missing entries = 0). Generation g != 0 salts that task's
@@ -102,19 +89,13 @@ struct SimConfig {
   /// stamp-ordered batches DURING the run — byte-identical,
   /// concatenated, to SimResult::trace_events of the full-buffer path
   /// (which stays empty here) — while resident stamped records are
-  /// bounded by ~trace_window (asserted via TraceStreamStats). Works
-  /// for every shard count; stop_on_first_miss runs take the serial
-  /// loop (a miss aborts a sharded attempt AFTER lanes over-processed,
-  /// which a streaming consumer could not un-see).
+  /// bounded by ~trace_window (asserted via TraceStreamStats).
   obs::TraceDrain* trace_drain = nullptr;
   std::size_t trace_window = 1u << 16;
 };
 
 /// Run the partition under the config. The canonical trace / metrics
-/// land in SimResult (record_trace / record_metrics). A non-null enabled
-/// recorder is a convenience alias for record_trace: it receives a copy
-/// of SimResult::trace_events after the run.
-SimResult Simulate(const partition::Partition& p, const SimConfig& cfg,
-                   trace::Recorder* recorder = nullptr);
+/// land in SimResult (record_trace / record_metrics).
+SimResult Simulate(const partition::Partition& p, const SimConfig& cfg);
 
 }  // namespace sps::sim

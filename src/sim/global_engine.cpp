@@ -58,11 +58,12 @@ class GlobalEngine final
                                   .overheads = cfg.overheads,
                                   .exec = cfg.exec,
                                   .arrivals = cfg.arrivals,
-                                  .stop_on_first_miss =
-                                      cfg.stop_on_first_miss,
                                   .event_backend = cfg.event_backend,
                                   .record_trace = cfg.record_trace,
-                                  .record_metrics = cfg.record_metrics},
+                                  .record_metrics = cfg.record_metrics,
+                                  .exec_generations = {},
+                                  .trace_drain = nullptr,
+                                  .trace_window = 0},
              ts.size()),
         ts_(ts), gpolicy_(cfg.policy) {
     for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -295,51 +296,40 @@ class GlobalEngine final
 
 }  // namespace
 
-SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg,
-                         trace::Recorder* recorder) {
+SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg) {
   using containers::QueueBackend;
-  // As in the partitioned Simulate: the recorder is the legacy way to
-  // ask for a trace; the sink instantiation splits null/recording.
-  GlobalSimConfig ecfg = cfg;
-  if (recorder != nullptr && recorder->enabled()) ecfg.record_trace = true;
-  const bool recording = ecfg.record_trace || ecfg.record_metrics;
+  const bool recording = cfg.record_trace || cfg.record_metrics;
 
   auto run = [&]<typename ReadyQ, typename SleepQ,
                  typename EventQ>() -> SimResult {
     if (recording) {
-      GlobalEngine<ReadyQ, SleepQ, EventQ, obs::RecordSink> engine(ts, ecfg);
+      GlobalEngine<ReadyQ, SleepQ, EventQ, obs::RecordSink> engine(ts, cfg);
       return engine.Run();
     }
-    GlobalEngine<ReadyQ, SleepQ, EventQ, obs::NullSink> engine(ts, ecfg);
+    GlobalEngine<ReadyQ, SleepQ, EventQ, obs::NullSink> engine(ts, cfg);
     return engine.Run();
   };
 
-  SimResult r = [&]() -> SimResult {
-    if (ecfg.ready_backend == QueueBackend::kBinomialHeap &&
-        ecfg.sleep_backend == QueueBackend::kRbTree &&
-        ecfg.event_backend == QueueBackend::kBinomialHeap) {
-      // Default combination: devirtualized event queue (DESIGN.md §9).
-      using ReadyQ = containers::BinomialHeapQueue<std::uint64_t, GJob*>;
-      using SleepQ = containers::RbTreeQueue<Time, std::size_t>;
-      using EventQ =
-          kernel::StaticEventQueue<GJob, QueueBackend::kBinomialHeap>;
-      return run.template operator()<ReadyQ, SleepQ, EventQ>();
-    }
-    return containers::WithQueueBackend(ecfg.ready_backend, [&](auto rb) {
-      return containers::WithQueueBackend(ecfg.sleep_backend, [&](auto sb) {
-        using ReadyQ =
-            containers::QueueOf<decltype(rb)::value, std::uint64_t, GJob*>;
-        using SleepQ = containers::QueueOf<decltype(sb)::value, Time,
-                                           std::size_t>;
-        return run.template
-            operator()<ReadyQ, SleepQ, kernel::DynamicEventQueue<GJob>>();
-      });
-    });
-  }();
-  if (recorder != nullptr && recorder->enabled()) {
-    for (const trace::Event& e : r.trace_events) recorder->record(e);
+  if (cfg.ready_backend == QueueBackend::kBinomialHeap &&
+      cfg.sleep_backend == QueueBackend::kRbTree &&
+      cfg.event_backend == QueueBackend::kBinomialHeap) {
+    // Default combination: devirtualized event queue (DESIGN.md §9).
+    using ReadyQ = containers::BinomialHeapQueue<std::uint64_t, GJob*>;
+    using SleepQ = containers::RbTreeQueue<Time, std::size_t>;
+    using EventQ =
+        kernel::StaticEventQueue<GJob, QueueBackend::kBinomialHeap>;
+    return run.template operator()<ReadyQ, SleepQ, EventQ>();
   }
-  return r;
+  return containers::WithQueueBackend(cfg.ready_backend, [&](auto rb) {
+    return containers::WithQueueBackend(cfg.sleep_backend, [&](auto sb) {
+      using ReadyQ =
+          containers::QueueOf<decltype(rb)::value, std::uint64_t, GJob*>;
+      using SleepQ =
+          containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
+      return run.template
+          operator()<ReadyQ, SleepQ, kernel::DynamicEventQueue<GJob>>();
+    });
+  });
 }
 
 }  // namespace sps::sim

@@ -50,7 +50,6 @@ struct GlobalSimConfig {
   /// response/tardiness histograms + per-core busy/overhead/idle rows in
   /// SimResult::metrics.
   bool record_metrics = false;
-  bool stop_on_first_miss = false;
   /// Queue backends (DESIGN.md §6 ablation), as in SimConfig.
   containers::QueueBackend ready_backend =
       containers::QueueBackend::kBinomialHeap;
@@ -63,7 +62,6 @@ struct GlobalSimConfig {
 /// for kGlobalRm. Returns the same statistics structure as the
 /// partitioned engine (migrations here count every resume on a different
 /// core than the job last ran on).
-SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg,
-                         trace::Recorder* recorder = nullptr);
+SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg);
 
 }  // namespace sps::sim

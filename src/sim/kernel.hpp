@@ -33,17 +33,16 @@
 //     engines instantiate it for the DEFAULT backend combination, which
 //     is what every simulation that does not override --event-queue
 //     runs on.
-//   * DynamicEventQueue<JobT> — the PR-2 type-erased slot (one virtual
-//     hop per op) kept for runtime `--event-queue` overrides, so the
-//     engines' instantiation count stays ready x sleep instead of
-//     gaining a full third axis.
+//   * DynamicEventQueue<JobT> — the type-erased slot (one virtual hop
+//     per op) for runtime `--event-queue` overrides, so the engines'
+//     instantiation count stays ready x sleep instead of gaining a full
+//     third axis.
 //
 // Hot-path memory (DESIGN.md §9): job objects live in per-core
 // SlabArenas and are RECYCLED — a task's dead job is destroyed and its
 // slot reused when the next release of that task is created, on the
 // same core — so a run of millions of events performs O(1) steady-state
-// allocations (KernelConfig::job_arena=false keeps the PR-2
-// unique_ptr-per-release pattern for the bench_single_run A/B).
+// allocations.
 //
 // Determinism & sharding: all random sampling draws from PER-TASK
 // SplitMix64 streams seeded by (config seed, task index) — never from a
@@ -59,10 +58,9 @@
 // Observability (DESIGN.md §10): the kernel's third policy slot is the
 // SINK (obs/sink.hpp) — obs::NullSink compiles every trace/metrics hook
 // away (the default, perf-guarded path), obs::RecordSink appends stamped
-// trace events to a lane-local arena buffer and accumulates streaming
-// metrics, which is what lets SHARDED runs record traces and metrics
-// (merged deterministically afterwards) instead of falling back to the
-// serial loop.
+// trace events to an arena buffer and accumulates streaming metrics.
+// Only NullSink kernels are ever sharded: a run that records takes the
+// serial loop (Run), whatever its shard count.
 //
 // This header also hosts the public simulation types shared by both
 // engines (ExecModel, ArrivalModel, TaskStats, CoreStats, SimResult);
@@ -71,7 +69,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -190,9 +187,9 @@ struct SimResult {
   /// the event sequence is fixed by the policy, not the backend — and,
   /// since PR 3, not by the shard count either).
   containers::QueueOpCounters event_ops;
-  /// Canonical trace of the run (SimConfig::record_trace): the stamped,
-  /// deterministically merged event stream — byte-identical for every
-  /// shard count and backend (DESIGN.md §10). Empty when not recording.
+  /// Canonical trace of the run (SimConfig::record_trace): the event
+  /// stream in stamp order — byte-identical for every shard count and
+  /// backend (DESIGN.md §10). Empty when not recording.
   std::vector<trace::Event> trace_events;
   /// Streaming metrics (SimConfig::record_metrics): per-task response /
   /// tardiness histograms and per-core busy/overhead/idle accounting.
@@ -271,8 +268,8 @@ template <typename JobT>
 
 /// Type-erased event queue: one virtual hop per operation buys runtime
 /// backend selection WITHOUT multiplying the engines' template
-/// instantiations by another backend axis. Since PR 3 this is only the
-/// OVERRIDE path (--event-queue); the default backend runs through
+/// instantiations by another backend axis. This is only the OVERRIDE
+/// path (--event-queue); the default backend runs through
 /// StaticEventQueue below with no virtual dispatch.
 template <typename JobT>
 class EventQueueBase {
@@ -322,7 +319,7 @@ std::unique_ptr<EventQueueBase<JobT>> MakeEventQueue(
       });
 }
 
-/// EventQueueT for runtime-selected backends: the PR-2 type-erased slot.
+/// EventQueueT for runtime-selected backends: the type-erased slot.
 template <typename JobT>
 class DynamicEventQueue {
  public:
@@ -425,7 +422,7 @@ struct TaskRunBase {
   double response_sum = 0.0;
   util::SplitMix64 exec_rng;
   util::SplitMix64 arrival_rng;
-  JobT* last_job = nullptr;  ///< dead job awaiting recycling (job_arena)
+  JobT* last_job = nullptr;  ///< dead job awaiting recycling
 };
 
 /// The engine-independent slice of a simulation config.
@@ -435,15 +432,10 @@ struct KernelConfig {
   overhead::OverheadModel overheads;
   ExecModel exec;
   ArrivalModel arrivals;
-  bool stop_on_first_miss = false;
   /// Backend of the kernel's event queue (runtime-selectable policy
   /// slot, like the engines' ready/sleep backends).
   containers::QueueBackend event_backend =
       containers::QueueBackend::kBinomialHeap;
-  /// Recycle job objects through per-core slab arenas (the default).
-  /// false restores PR 2's unique_ptr-per-release allocation pattern —
-  /// kept ONLY as the bench_single_run A/B comparison point.
-  bool job_arena = true;
   /// Observability switches (DESIGN.md §10). Only honored when the
   /// engine is instantiated with a recording sink; the NullSink
   /// instantiation ignores them by construction.
@@ -458,11 +450,11 @@ struct KernelConfig {
   std::vector<std::uint32_t> exec_generations;
   /// Streaming trace window (DESIGN.md §15): when non-null (and
   /// record_trace is on), finalized stamped records are drained to this
-  /// consumer mid-run — in canonical merge order, byte-identical to the
-  /// post-run full-buffer merge — whenever the buffer holds at least
+  /// consumer mid-run — in canonical stamp order, byte-identical to the
+  /// post-run full-buffer sort — whenever the buffer holds at least
   /// trace_window records, and SimResult::trace_events stays empty. The
   /// serial loop drains below its event queue's minimum key after each
-  /// dispatch; the sharded driver drains at its barrier watermark.
+  /// dispatch.
   obs::TraceDrain* trace_drain = nullptr;
   std::size_t trace_window = 1u << 16;
 };
@@ -477,7 +469,7 @@ class KernelBase {
   /// from sim/engine.cpp instead.)
   SimResult Run() {
     policy().Boot();
-    while (!events_.empty() && !halted_) {
+    while (!events_.empty()) {
       if (EventKeyTime(events_.min_key()) > kcfg_.horizon) break;
       const Event<JobT> ev = events_.pop_min();
       now_ = ev.t;
@@ -537,54 +529,17 @@ class KernelBase {
   }
 
   /// Dispatch local events while their key is within `safe_key` and
-  /// their time within the horizon. A lane that records a miss under
-  /// stop_on_first_miss stops dispatching; the driver observes the flag
-  /// at the next barrier and abandons the sharded attempt (the exact
-  /// halt point is a serial-order property — see RunSharded).
-  ///
-  /// Streaming backpressure (DESIGN.md §15): with a trace drain
-  /// configured, a lane PAUSES once its buffer holds its share of the
-  /// window and resumes next round — stopping a window early is always
-  /// protocol-safe (the remaining events just dispatch in later
-  /// windows; other lanes' safe bounds never assumed this lane's
-  /// emissions arrive within the round). Without the pause, a
-  /// sender-free lane would run its whole horizon in ONE window and no
-  /// barrier could ever drain mid-run. At least one event dispatches
-  /// per window, so the global-minimum lane still guarantees progress.
+  /// their time within the horizon.
   void RunWindow(std::uint64_t safe_key) {
-    std::size_t lane_cap = std::numeric_limits<std::size_t>::max();
-    if constexpr (SinkT::kActive) {
-      if (kcfg_.trace_drain != nullptr && sink_.tracing()) {
-        lane_cap = std::max<std::size_t>(
-            1, kcfg_.trace_window / std::max(1u, kcfg_.num_cores));
-      }
-    }
-    while (!events_.empty() && !halted_) {
+    static_assert(!SinkT::kActive, "recording runs never shard");
+    while (!events_.empty()) {
       const std::uint64_t k = events_.min_key();
       if (k > safe_key || EventKeyTime(k) > kcfg_.horizon) break;
       const Event<JobT> ev = events_.pop_min();
       now_ = ev.t;
-      BeginDispatch(ev);
       policy().Dispatch(ev);
-      if constexpr (SinkT::kActive) {
-        if (sink_.buffer().size() >= lane_cap) break;
-      }
     }
   }
-
-  /// Whether this lane halted on a deadline miss (stop_on_first_miss).
-  [[nodiscard]] bool halted() const { return halted_; }
-
-  /// Close this lane's observability streams (exec tail at the horizon,
-  /// trailing idle). Sharded driver only; the serial path does the same
-  /// inside Finalize.
-  void FinalizeShardObservability() { FinalizeObservability(); }
-
-  /// The lane's sink, for the driver's post-run trace/metrics merge.
-  [[nodiscard]] const SinkT& sink() const { return sink_; }
-  /// Mutable sink access for the sharded driver's streaming-window
-  /// drain (DESIGN.md §15).
-  [[nodiscard]] SinkT& sink_mut() { return sink_; }
 
   /// Fold this shard's slice into a merged result: its own core row,
   /// its event/ready/sleep counters, and its clock.
@@ -641,9 +596,8 @@ class KernelBase {
     Time busy_until = 0;
     Time seg_start = 0;
     std::uint64_t epoch = 0;  ///< invalidates stale core events
-    /// Job storage of the tasks released on this core (recycled slots;
-    /// see KernelConfig::job_arena). Strictly lane-local in sharded
-    /// runs — arenas are never crossed.
+    /// Job storage of the tasks released on this core (recycled slots).
+    /// Strictly lane-local in sharded runs — arenas are never crossed.
     util::SlabArena<JobT> job_arena;
   };
 
@@ -661,9 +615,7 @@ class KernelBase {
         events_(kcfg.event_backend),
         core_slot_mask_(shard != nullptr ? 0u : ~0u),
         sink_(obs::SinkConfig{kcfg.record_trace, kcfg.record_metrics,
-                              num_tasks, kcfg.num_cores, shard != nullptr,
-                              shard != nullptr ? shard->lane : 0,
-                              kcfg.horizon}) {
+                              num_tasks, kcfg.num_cores, kcfg.horizon}) {
     result_.cores.resize(shard != nullptr ? 1 : kcfg.num_cores);
     if (shard != nullptr) {
       assert(shard->num_tasks == num_tasks && shard->tasks != nullptr);
@@ -719,8 +671,8 @@ class KernelBase {
     return result_.cores[c & core_slot_mask_];
   }
 
-  /// Stamp the upcoming dispatch for the recording sink (trace merge
-  /// determinism, obs/trace_buffer.hpp). Compiled away under NullSink.
+  /// Stamp the upcoming dispatch for the recording sink (canonical trace
+  /// order, obs/trace_buffer.hpp). Compiled away under NullSink.
   void BeginDispatch(const Event<JobT>& e) {
     if constexpr (SinkT::kActive) {
       const bool core_keyed = e.kind == EvKind::kSegmentEnd ||
@@ -770,18 +722,10 @@ class KernelBase {
   /// fills its own fields (budgets etc.) afterwards.
   JobT* NewJob(std::size_t ti, std::uint32_t core) {
     TaskRtT& tr = tasks_[ti];
-    JobT* j;
-    if (kcfg_.job_arena) {
-      util::SlabArena<JobT>& arena = CoreAt(core).job_arena;
-      if (tr.last_job != nullptr) arena.destroy(tr.last_job);
-      j = arena.create();
-      tr.last_job = j;
-    } else {
-      // PR-2 allocation pattern (bench A/B only): one heap allocation
-      // per release, never freed until the run ends.
-      jobs_legacy_.push_back(std::make_unique<JobT>());
-      j = jobs_legacy_.back().get();
-    }
+    util::SlabArena<JobT>& arena = CoreAt(core).job_arena;
+    if (tr.last_job != nullptr) arena.destroy(tr.last_job);
+    JobT* j = arena.create();
+    tr.last_job = j;
     j->task_idx = ti;
     j->seq = ++tr.stats.released;
     j->release_time = now_;
@@ -934,8 +878,8 @@ class KernelBase {
     core.state = CoreState::kOvh;
   }
 
-  /// Completion bookkeeping shared by both engines: response-time stats,
-  /// deadline check, optional halt-on-first-miss.
+  /// Completion bookkeeping shared by both engines: response-time stats
+  /// and the deadline check.
   void RecordCompletion(std::uint32_t c, JobT* j) {
     TaskRtT& tr = tasks_[j->task_idx];
     Trace(trace::EventKind::kFinish, c, j);
@@ -948,27 +892,24 @@ class KernelBase {
       ++tr.stats.deadline_misses;
       ++result_.total_misses;
       Trace(trace::EventKind::kDeadlineMiss, c, j);
-      if (kcfg_.stop_on_first_miss) halted_ = true;
     }
   }
 
-  /// Close the observability streams for this kernel's local cores: the
-  /// in-flight execution segment is booked up to the horizon (it has no
-  /// segment-end event inside the horizon, so BookProgress never sees
-  /// it), then the sink fills trailing idle. No-op under NullSink.
+  /// Close the observability streams: the in-flight execution segment
+  /// is booked up to the horizon (it has no segment-end event inside the
+  /// horizon, so BookProgress never sees it), then the sink fills
+  /// trailing idle. No-op under NullSink.
   void FinalizeObservability() {
     if constexpr (SinkT::kActive) {
       if (!sink_.metrics()) return;
       for (std::uint32_t c = 0; c < kcfg_.num_cores; ++c) {
-        if (router_ != nullptr && c != lane_) continue;
-        Core& core = CoreAt(c);
-        if (core.state == CoreState::kExec && core.running != nullptr) {
-          const Time end =
-              std::min(halted_ ? now_ : kcfg_.horizon, kcfg_.horizon);
-          if (end > core.seg_start) sink_.OnExec(c, core.seg_start, end);
+        const Core& core = CoreAt(c);
+        if (core.state == CoreState::kExec && core.running != nullptr &&
+            kcfg_.horizon > core.seg_start) {
+          sink_.OnExec(c, core.seg_start, kcfg_.horizon);
         }
       }
-      sink_.CloseSpan(halted_);
+      sink_.CloseSpan();
     }
   }
 
@@ -992,7 +933,7 @@ class KernelBase {
           StreamDrainBelow(kNoEventKey);
           kcfg_.trace_drain->OnFinish(drain_stats_);
         } else {
-          result_.trace_events = obs::MergeTraceBuffers({&sink_.buffer()});
+          result_.trace_events = sink_.buffer().SortedEvents();
         }
       }
       if (sink_.metrics()) result_.metrics = sink_.TakeMetrics();
@@ -1000,7 +941,7 @@ class KernelBase {
     return std::move(result_);
   }
 
-  /// Serial-loop streaming drain: pop the finalized prefix (stamp key
+  /// Streaming drain: pop the finalized prefix (stamp key
   /// strictly below `limit`), already stamp-sorted by DrainBelow, and
   /// hand it to the configured TraceDrain.
   void StreamDrainBelow(std::uint64_t limit) {
@@ -1028,7 +969,6 @@ class KernelBase {
   std::vector<TaskRtT> tasks_own_;
   TaskRtT* tasks_ = nullptr;
   std::size_t num_tasks_ = 0;
-  std::vector<std::unique_ptr<JobT>> jobs_legacy_;  ///< job_arena=false only
   EventQueueT events_;
   /// Folds core indices to the local slot: identity in serial mode, 0 in
   /// shard mode (the lane materializes only its own core's state).
@@ -1038,9 +978,8 @@ class KernelBase {
   ShardRouter<JobT>* router_ = nullptr;
   Time now_ = 0;
   std::uint64_t ev_seq_ = 0;
-  bool halted_ = false;
-  /// Streaming-window scratch (serial loop only; reused across drains so
-  /// the steady state allocates nothing).
+  /// Streaming-window scratch (reused across drains so the steady state
+  /// allocates nothing).
   std::vector<obs::StampedEvent> drain_run_;
   std::vector<trace::Event> drain_batch_;
   obs::TraceStreamStats drain_stats_;

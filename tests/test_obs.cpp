@@ -1,9 +1,8 @@
 // Tests for the observability subsystem (DESIGN.md §10): log2 histogram
-// semantics, stamped trace buffers and their deterministic merge, the
+// semantics, stamped trace buffers and their canonical stamp sort, the
 // streaming-metrics invariants (histogram totals == completions,
-// per-core busy + overhead + idle == span), serial-vs-sharded metrics
-// equality, the MetricsReport writers, and the Perfetto exporter
-// (golden-file + structural checks).
+// per-core busy + overhead + idle == span), the MetricsReport writers,
+// and the Perfetto exporter (golden-file + structural checks).
 
 #include <gtest/gtest.h>
 
@@ -79,7 +78,7 @@ TEST(LogHistogram, MergeIsElementwiseSum) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceBuffer + merge
+// TraceBuffer stamp sort
 // ---------------------------------------------------------------------------
 
 trace::Event Ev(Time t, unsigned core, trace::EventKind k) {
@@ -90,37 +89,16 @@ trace::Event Ev(Time t, unsigned core, trace::EventKind k) {
   return e;
 }
 
-TEST(TraceBuffer, MergeOrdersByStampAcrossLanes) {
-  // Lane 0 holds stamps {1, 5}; lane 1 holds {2, 3, 5'} where 5' ties
-  // the key but loses on the tiebreak. The merge must interleave them
-  // into stamp order regardless of lane layout.
-  TraceBuffer l0, l1;
-  l0.Append(Stamp{5, 0, 0, 0}, Ev(5, 0, trace::EventKind::kStart));
-  l0.Append(Stamp{1, 0, 0, 0}, Ev(1, 0, trace::EventKind::kRelease));
-  l1.Append(Stamp{2, 1, 0, 0}, Ev(2, 1, trace::EventKind::kRelease));
-  l1.Append(Stamp{3, 1, 0, 0}, Ev(3, 1, trace::EventKind::kStart));
-  l1.Append(Stamp{5, 1, 0, 0}, Ev(5, 1, trace::EventKind::kFinish));
-
-  const std::vector<trace::Event> merged = MergeTraceBuffers({&l0, &l1});
-  ASSERT_EQ(merged.size(), 5u);
-  EXPECT_EQ(merged[0].time, 1);
-  EXPECT_EQ(merged[1].time, 2);
-  EXPECT_EQ(merged[2].time, 3);
-  EXPECT_EQ(merged[3].time, 5);
-  EXPECT_EQ(merged[3].core, 0u);  // tiebreak 0 before tiebreak 1
-  EXPECT_EQ(merged[4].core, 1u);
-}
-
 TEST(TraceBuffer, ChainAndOrdinalRefineEqualKeys) {
   TraceBuffer b;
   b.Append(Stamp{7, 2, 1, 0}, Ev(7, 2, trace::EventKind::kStart));
   b.Append(Stamp{7, 2, 0, 1}, Ev(7, 2, trace::EventKind::kPreempt));
   b.Append(Stamp{7, 2, 0, 0}, Ev(7, 2, trace::EventKind::kRelease));
-  const std::vector<trace::Event> merged = MergeTraceBuffers({&b});
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].kind, trace::EventKind::kRelease);
-  EXPECT_EQ(merged[1].kind, trace::EventKind::kPreempt);
-  EXPECT_EQ(merged[2].kind, trace::EventKind::kStart);
+  const std::vector<trace::Event> sorted = b.SortedEvents();
+  ASSERT_EQ(sorted.size(), 3u);
+  EXPECT_EQ(sorted[0].kind, trace::EventKind::kRelease);
+  EXPECT_EQ(sorted[1].kind, trace::EventKind::kPreempt);
+  EXPECT_EQ(sorted[2].kind, trace::EventKind::kStart);
 }
 
 TEST(TraceBuffer, SurvivesChunkGrowth) {
@@ -131,9 +109,9 @@ TEST(TraceBuffer, SurvivesChunkGrowth) {
              Ev(i, 0, trace::EventKind::kRelease));
   }
   EXPECT_EQ(b.size(), static_cast<std::size_t>(n));
-  const std::vector<trace::Event> merged = MergeTraceBuffers({&b});
-  ASSERT_EQ(merged.size(), static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) EXPECT_EQ(merged[i].time, i);
+  const std::vector<trace::Event> sorted = b.SortedEvents();
+  ASSERT_EQ(sorted.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) EXPECT_EQ(sorted[i].time, i);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,29 +214,6 @@ TEST(MetricsInvariants, TardinessRecordedOnOverload) {
   EXPECT_GT(lp.max_tardiness, 0);
 }
 
-TEST(MetricsInvariants, HaltedRunSpanEndsAtHalt) {
-  partition::Partition p;
-  p.num_cores = 1;
-  for (int i = 0; i < 2; ++i) {
-    partition::PlacedTask pt;
-    pt.task = MakeTask(static_cast<rt::TaskId>(i), Millis(6), Millis(10));
-    pt.parts = {{0, Millis(6),
-                 static_cast<rt::Priority>(i) + kNormalPriorityBase}};
-    p.tasks.push_back(pt);
-  }
-  sim::SimConfig cfg;
-  cfg.horizon = Millis(1000);
-  cfg.stop_on_first_miss = true;
-  cfg.record_metrics = true;
-  const sim::SimResult r = Simulate(p, cfg);
-  EXPECT_EQ(r.total_misses, 1u);
-  ASSERT_TRUE(r.metrics.enabled());
-  EXPECT_LT(r.metrics.span, Millis(1000));
-  for (const CoreMetrics& m : r.metrics.cores) {
-    EXPECT_EQ(m.busy + m.overhead + m.idle, r.metrics.span);
-  }
-}
-
 TEST(MetricsInvariants, GlobalEngineRecordsMetricsToo) {
   rt::TaskSet ts;
   ts.add(MakeTask(0, Millis(1), Millis(10)));
@@ -277,34 +232,6 @@ TEST(MetricsInvariants, GlobalEngineRecordsMetricsToo) {
   }
   for (const CoreMetrics& m : r.metrics.cores) {
     EXPECT_EQ(m.busy + m.overhead + m.idle, r.metrics.span);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Serial vs sharded metrics equality (the trace differentials live in
-// test_queue_concept.cpp next to the other ShardedSim suites)
-// ---------------------------------------------------------------------------
-
-TEST(MetricsSharded, IdenticalReportAcrossShardCounts) {
-  const partition::Partition p = GeneratedSpa2Partition(4, 24, 3.4, 99);
-  sim::SimConfig cfg;
-  cfg.horizon = Millis(300);
-  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-  cfg.exec.kind = sim::ExecModel::Kind::kUniform;
-  cfg.record_metrics = true;
-  cfg.shards = 1;
-  const sim::SimResult serial = Simulate(p, cfg);
-  const MetricsReport serial_rep = BuildMetricsReport(serial);
-  for (const unsigned shards : {2u, 0u}) {
-    SCOPED_TRACE(shards);
-    cfg.shards = shards;
-    const sim::SimResult sharded = Simulate(p, cfg);
-    EXPECT_TRUE(serial.metrics == sharded.metrics);
-    const MetricsReport rep = BuildMetricsReport(sharded);
-    EXPECT_TRUE(serial_rep == rep);
-    EXPECT_EQ(serial_rep.ToJson(), rep.ToJson());
-    EXPECT_EQ(serial_rep.TaskCsv(), rep.TaskCsv());
-    EXPECT_EQ(serial_rep.CoreCsv(), rep.CoreCsv());
   }
 }
 

@@ -3,10 +3,11 @@
 // semantics + golden Perfetto slice document), the unified stats
 // registry (delta / merge / export), the TraceBuffer streaming drain
 // (prefix pop, strict watermark, chunk recycling), streaming-window
-// trace export byte-identity against the full-buffer path across shard
-// counts with the bounded-memory claim asserted, and differential
-// profile-on/off replay identity (wall-clock must never leak into
-// decisions or byte-compared artifacts).
+// trace export byte-identity against the full-buffer path with the
+// bounded-memory claim asserted, the shard count never changing any
+// recorded byte, and differential profile-on/off replay identity
+// (wall-clock must never leak into decisions or byte-compared
+// artifacts).
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "containers/queue_traits.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace_buffer.hpp"
 #include "online/controller.hpp"
@@ -26,6 +29,7 @@
 #include "partition/spa.hpp"
 #include "rt/generator.hpp"
 #include "sim/engine.hpp"
+#include "trace/gantt.hpp"
 
 namespace sps::obs {
 namespace {
@@ -274,7 +278,7 @@ TEST(TraceBufferDrain, InterleavedAppendDrainRecyclesChunks) {
   // A fully-drained buffer accepts fresh appends (tail-chunk reset).
   b.Append(Stamp{9999, 0, 0, 0}, Ev(9999, 0, trace::EventKind::kStart));
   EXPECT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.Sorted()[0].stamp.key, 9999u);
+  EXPECT_EQ(b.SortedEvents()[0].time, 9999);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +301,7 @@ partition::Partition GeneratedSpa2Partition(unsigned cores,
   return pr.partition;
 }
 
-TEST(StreamingTrace, ByteIdenticalToFullBufferAcrossShardCounts) {
+TEST(StreamingTrace, ByteIdenticalToFullBuffer) {
   const unsigned kCores = 4;
   const std::size_t kWindow = 512;
   const partition::Partition p = GeneratedSpa2Partition(kCores, 24, 3.4, 99);
@@ -311,36 +315,89 @@ TEST(StreamingTrace, ByteIdenticalToFullBufferAcrossShardCounts) {
   PerfettoOptions opt;
   opt.num_cores = kCores;  // streaming cannot infer the track count
 
-  // Reference: the canonical full-buffer trace (serial path).
-  cfg.shards = 1;
+  // Reference: the canonical full-buffer trace.
   const sim::SimResult full = Simulate(p, cfg);
   ASSERT_GT(full.trace_events.size(), 2 * kWindow)
       << "workload too small to exercise streaming";
-  const std::string full_doc = ToPerfettoJson(full.trace_events, opt);
 
-  for (const unsigned shards : {1u, 2u, 0u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    PerfettoStreamDrain drain(opt);
-    sim::SimConfig scfg = cfg;
-    scfg.shards = shards;
-    scfg.trace_drain = &drain;
-    scfg.trace_window = kWindow;
-    const sim::SimResult r = Simulate(p, scfg);
+  PerfettoStreamDrain drain(opt);
+  cfg.trace_drain = &drain;
+  cfg.trace_window = kWindow;
+  const sim::SimResult r = Simulate(p, cfg);
 
-    // Streaming mode hands every event to the drain instead.
-    EXPECT_TRUE(r.trace_events.empty());
-    EXPECT_EQ(drain.stats().events, full.trace_events.size());
-    // The run actually streamed — multiple windows, not one final dump.
-    EXPECT_GE(drain.stats().batches, 2u);
-    // Bounded memory: peak live stamped records stay near the window
-    // (the slack covers one dispatch's same-key emission burst per lane).
-    EXPECT_LE(drain.stats().peak_resident, kWindow + 256);
-    // And the document is byte-for-byte the full-buffer export.
-    EXPECT_EQ(drain.document(), full_doc);
+  // Streaming mode hands every event to the drain instead.
+  EXPECT_TRUE(r.trace_events.empty());
+  EXPECT_EQ(drain.stats().events, full.trace_events.size());
+  // The run actually streamed — multiple windows, not one final dump.
+  EXPECT_GE(drain.stats().batches, 2u);
+  // Bounded memory: peak live stamped records stay near the window
+  // (the slack covers one dispatch's same-key emission burst).
+  EXPECT_LE(drain.stats().peak_resident, kWindow + 256);
+  // And the document is byte-for-byte the full-buffer export.
+  EXPECT_EQ(drain.document(), ToPerfettoJson(full.trace_events, opt));
 
-    // Decisions are untouched by streaming.
-    EXPECT_EQ(r.total_misses, full.total_misses);
-    EXPECT_EQ(r.summary(), full.summary());
+  // Decisions are untouched by streaming.
+  EXPECT_EQ(r.total_misses, full.total_misses);
+  EXPECT_EQ(r.summary(), full.summary());
+}
+
+// ---------------------------------------------------------------------------
+// The shard count never changes recorded output
+// ---------------------------------------------------------------------------
+
+TEST(RecordedOutput, ByteIdenticalForEveryShardCount) {
+  // A recording run takes the serial loop whatever SimConfig::shards
+  // says, so the full-buffer trace, the metrics report and the streamed
+  // Perfetto document at shards 2 and 0 are the shards=1 bytes. Both
+  // engine instantiations are covered: the devirtualized default
+  // backends and a type-erased event-queue override.
+  const unsigned kCores = 4;
+  const partition::Partition p = GeneratedSpa2Partition(kCores, 16, 3.8, 99);
+  PerfettoOptions opt;
+  opt.num_cores = kCores;
+
+  for (const containers::QueueBackend event_backend :
+       {containers::QueueBackend::kBinomialHeap,
+        containers::QueueBackend::kCalendar}) {
+    SCOPED_TRACE(std::string(containers::to_string(event_backend)));
+    sim::SimConfig cfg;
+    cfg.horizon = Millis(300);
+    cfg.overheads = overhead::OverheadModel::PaperCoreI7();
+    cfg.exec.kind = sim::ExecModel::Kind::kUniform;
+    cfg.arrivals.kind = sim::ArrivalModel::Kind::kSporadicUniformDelay;
+    cfg.event_backend = event_backend;
+    cfg.record_trace = true;
+    cfg.record_metrics = true;
+
+    auto streamed = [&](const sim::SimConfig& base) {
+      PerfettoStreamDrain drain(opt);
+      sim::SimConfig scfg = base;
+      scfg.trace_drain = &drain;
+      scfg.trace_window = 512;
+      Simulate(p, scfg);
+      return drain.document();
+    };
+
+    cfg.shards = 1;
+    const sim::SimResult serial = Simulate(p, cfg);
+    ASSERT_GT(serial.total_migrations, 0u);
+    const std::string serial_trace = trace::ToCsv(serial.trace_events);
+    const MetricsReport serial_rep = BuildMetricsReport(serial);
+    const std::string serial_stream = streamed(cfg);
+
+    for (const unsigned shards : {2u, 0u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      cfg.shards = shards;
+      const sim::SimResult r = Simulate(p, cfg);
+      EXPECT_EQ(r.summary(), serial.summary());
+      EXPECT_EQ(trace::ToCsv(r.trace_events), serial_trace);
+      EXPECT_TRUE(r.metrics == serial.metrics);
+      const MetricsReport rep = BuildMetricsReport(r);
+      EXPECT_EQ(rep.ToJson(), serial_rep.ToJson());
+      EXPECT_EQ(rep.TaskCsv(), serial_rep.TaskCsv());
+      EXPECT_EQ(rep.CoreCsv(), serial_rep.CoreCsv());
+      EXPECT_EQ(streamed(cfg), serial_stream);
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "overhead/model.hpp"
+#include "partition/binpack.hpp"
 #include "partition/edf_wm.hpp"
 #include "partition/placement.hpp"
 #include "partition/spa.hpp"
@@ -20,7 +21,6 @@
 #include "rt/task.hpp"
 #include "sim/engine.hpp"
 #include "sim/global_engine.hpp"
-#include "trace/gantt.hpp"
 
 namespace sps::containers {
 namespace {
@@ -492,149 +492,43 @@ TEST(ShardedSim, IdenticalToSerialUnderEdfWmWindows) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Observability differentials (DESIGN.md §10): traced/metered sharded
-// runs must produce BYTE-IDENTICAL canonical traces and identical
-// metrics to the serial loop, for every shard count, backend, and
-// arrival model. These run under TSan in CI together with the other
-// ShardedSim suites.
-// ---------------------------------------------------------------------------
+TEST(ShardedSim, IdenticalToSerialOnDecoupledPartition) {
+  // The shape where sharding can pay: a whole-task (0-split) FFD
+  // placement at m=64, like the online service's validation sims. No
+  // lane has a sender, so every lane runs to the horizon in one window.
+  // The same placement runs once as FP and once as EDF.
+  rt::GeneratorConfig gen;
+  gen.num_tasks = 384;
+  gen.total_utilization = 0.7 * 64;
+  rt::Rng rng(64);
+  const rt::TaskSet ts = rt::GenerateTaskSet(gen, rng);
+  partition::BinPackConfig bcfg;
+  bcfg.num_cores = 64;
+  const auto pr = partition::Ffd(ts, bcfg);
+  ASSERT_TRUE(pr.success) << pr.failure_reason;
+  ASSERT_EQ(pr.partition.num_split_tasks(), 0u);
 
-partition::PlacedTask NormalOn(rt::TaskId id, Time c, Time t,
-                               partition::CoreId core, rt::Priority prio) {
-  partition::PlacedTask pt;
-  pt.task = MakeTask(id, c, t);
-  pt.parts = {{core, c, prio + kNormalPriorityBase}};
-  return pt;
-}
-
-TEST(ShardedSim, TracedByteIdenticalAcrossShardCountsBackendsAndArrivals) {
-  const partition::Partition p = DifferentialPartition();
-  for (const ArrivalModel::Kind kind :
-       {ArrivalModel::Kind::kPeriodic,
-        ArrivalModel::Kind::kSporadicUniformDelay,
-        ArrivalModel::Kind::kJittered, ArrivalModel::Kind::kBursty}) {
-    for (QueueBackend b : kAllQueueBackends) {
-      SimConfig cfg;
-      cfg.horizon = Millis(250);
-      cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-      cfg.exec.kind = ExecModel::Kind::kUniform;
-      cfg.arrivals.kind = kind;
-      cfg.ready_backend = b;
-      cfg.sleep_backend = b;
-      cfg.event_backend = b;
-      cfg.record_trace = true;
-      cfg.record_metrics = true;
-      cfg.shards = 1;
-      const SimResult serial = Simulate(p, cfg);
-      ASSERT_FALSE(serial.trace_events.empty());
-      const std::string serial_bytes = trace::ToCsv(serial.trace_events);
-      for (const unsigned shards : {2u, 3u, 0u}) {
-        cfg.shards = shards;
-        const SimResult sharded = Simulate(p, cfg);
-        const std::string what =
-            std::string("traced backend=") +
-            std::string(containers::to_string(b)) + " arrivals=" +
-            std::to_string(static_cast<int>(kind)) + " shards=" +
-            std::to_string(shards);
-        ExpectSameResult(serial, sharded, what);
-        // The acceptance criterion, literally: byte-identical traces.
-        EXPECT_EQ(serial_bytes, trace::ToCsv(sharded.trace_events)) << what;
-        EXPECT_TRUE(serial.metrics == sharded.metrics) << what;
-      }
+  for (const partition::SchedPolicy policy :
+       {partition::SchedPolicy::kFixedPriority,
+        partition::SchedPolicy::kEdf}) {
+    partition::Partition p = pr.partition;
+    p.policy = policy;
+    SimConfig cfg;
+    cfg.horizon = Millis(200);
+    cfg.overheads = overhead::OverheadModel::PaperCoreI7();
+    cfg.exec.kind = ExecModel::Kind::kUniform;
+    cfg.arrivals.kind = ArrivalModel::Kind::kSporadicUniformDelay;
+    const SimResult serial = Simulate(p, cfg);
+    EXPECT_EQ(serial.total_migrations, 0u);
+    EXPECT_GT(serial.total_preemptions, 0u);
+    for (const unsigned shards : {2u, 0u}) {
+      cfg.shards = shards;
+      ExpectSameResult(serial, Simulate(p, cfg),
+                       "decoupled policy=" +
+                           std::to_string(static_cast<int>(policy)) +
+                           " shards=" + std::to_string(shards));
     }
   }
-}
-
-TEST(ShardedSim, TracedByteIdenticalOnGeneratedSpa2Workload) {
-  // Bigger generated workload: whatever split structure SPA2 emits, the
-  // merged sharded trace must reproduce the serial bytes.
-  rt::GeneratorConfig gen;
-  gen.num_tasks = 24;
-  gen.total_utilization = 3.4;
-  rt::Rng rng(2024);
-  const rt::TaskSet ts = rt::GenerateTaskSet(gen, rng);
-  partition::SpaConfig scfg;
-  scfg.num_cores = 4;
-  scfg.preassign_heavy = true;
-  const auto pr = partition::SpaPartition(ts, scfg);
-  ASSERT_TRUE(pr.success);
-
-  SimConfig cfg;
-  cfg.horizon = Millis(300);
-  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-  cfg.exec.kind = ExecModel::Kind::kUniform;
-  cfg.arrivals.kind = ArrivalModel::Kind::kSporadicUniformDelay;
-  cfg.record_trace = true;
-  cfg.record_metrics = true;
-  const SimResult serial = Simulate(pr.partition, cfg);
-  cfg.shards = 0;
-  const SimResult sharded = Simulate(pr.partition, cfg);
-  ExpectSameResult(serial, sharded, "traced generated SPA2");
-  EXPECT_EQ(trace::ToCsv(serial.trace_events),
-            trace::ToCsv(sharded.trace_events));
-  EXPECT_TRUE(serial.metrics == sharded.metrics);
-}
-
-TEST(ShardedSim, LegacyRecorderStillFilledUnderSharding) {
-  // The recorder-pointer API remains a thin alias for record_trace.
-  const partition::Partition p = DifferentialPartition();
-  SimConfig cfg;
-  cfg.horizon = Millis(100);
-  const SimResult plain = Simulate(p, cfg);
-  cfg.shards = 4;
-  trace::Recorder rec(true);
-  const SimResult traced = Simulate(p, cfg, &rec);
-  ExpectSameResult(plain, traced, "recorder alias");
-  EXPECT_FALSE(rec.events().empty());
-  EXPECT_EQ(rec.events().size(), traced.trace_events.size());
-}
-
-TEST(ShardedSim, StopOnFirstMissMatchesSerialHaltExactly) {
-  // An overloaded 2-core partition: core 0 misses. The sharded run
-  // detects the miss at a drain barrier, abandons the attempt, and
-  // reruns serially — so the result (including the halt instant and
-  // the recorded trace) is the serial one, bit for bit.
-  partition::Partition p;
-  p.num_cores = 2;
-  p.tasks.push_back(NormalOn(0, Millis(6), Millis(10), 0, 1));
-  p.tasks.push_back(NormalOn(1, Millis(6), Millis(10), 0, 2));
-  p.tasks.push_back(NormalOn(2, Millis(2), Millis(10), 1, 1));
-  {
-    partition::PlacedTask split;  // cross-core coupling for good measure
-    split.task = MakeTask(3, Millis(4), Millis(12));
-    split.parts = {{1, Millis(2), 0}, {0, Millis(2), 0}};
-    p.tasks.push_back(split);
-  }
-  SimConfig cfg;
-  cfg.horizon = Millis(1000);
-  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-  cfg.stop_on_first_miss = true;
-  cfg.record_trace = true;
-  const SimResult serial = Simulate(p, cfg);
-  EXPECT_GT(serial.total_misses, 0u);
-  EXPECT_LT(serial.simulated, Millis(1000));  // halted early
-  for (const unsigned shards : {2u, 0u}) {
-    cfg.shards = shards;
-    const SimResult sharded = Simulate(p, cfg);
-    ExpectSameResult(serial, sharded,
-                     "stop-on-first-miss shards=" + std::to_string(shards));
-    EXPECT_EQ(trace::ToCsv(serial.trace_events),
-              trace::ToCsv(sharded.trace_events));
-  }
-}
-
-TEST(ShardedSim, StopOnFirstMissWithoutMissStaysSharded) {
-  // A feasible set under stop_on_first_miss must still return the
-  // shard-identical result (the optimistic path never falls back).
-  const partition::Partition p = DifferentialPartition();
-  SimConfig cfg;
-  cfg.horizon = Millis(300);
-  const SimResult serial = Simulate(p, cfg);
-  EXPECT_EQ(serial.total_misses, 0u);
-  cfg.stop_on_first_miss = true;
-  cfg.shards = 0;
-  ExpectSameResult(serial, Simulate(p, cfg), "no-miss stop flag");
 }
 
 TEST(ShardedSim, WideEdfTieBreakShardsBeyond1024Tasks) {

@@ -25,8 +25,6 @@ variants' ratios shrink in unison. PATTERN (fnmatch, default '*')
 should exclude variants whose ratio legitimately depends on the
 machine — e.g. '--two-sided "serial*"' guards the serial kernel-path
 family while letting the sharded variants enjoy multi-core runners.
-Variants present in only one of the files are reported but do not fail
-the check (benches gain and lose variants across PRs).
 
 Variants present in only one file are reported but do not fail the
 check by default — benches gain and lose variants across PRs. When a
