@@ -5,8 +5,11 @@
 //   serial          the devirtualized default path (static event queue
 //                   + job arena + NullSink) — what every default-config
 //                   simulation runs on;
-//   sharded         the per-core parallel runner (shards=0: one worker
-//                   per hardware thread);
+//   sharded         the per-core parallel runner at one thread per
+//                   launch CPU, set explicitly because automatic mode
+//                   (shards=0) runs split-task sets serial and sizes
+//                   lanes by job count (these SPA2 sets place without a
+//                   split, so this measures the independent lanes);
 //   serial_traced   serial with the RecordSink (trace + metrics
 //                   recording, DESIGN.md §10) — the NullSink-vs-recording
 //                   A/B. Recording runs are always serial, whatever
@@ -41,6 +44,7 @@
 #include "rt/generator.hpp"
 #include "sim/engine.hpp"
 #include "util/json_writer.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -77,9 +81,10 @@ std::vector<Variant> Variants(Time horizon) {
   base.overheads = overhead::OverheadModel::PaperCoreI7();
 
   Variant serial{"serial", base};
+  serial.cfg.shards = 1;
 
   Variant sharded{"sharded", base};
-  sharded.cfg.shards = 0;  // one worker per hardware thread
+  sharded.cfg.shards = util::LaunchCpuCount();
 
   Variant traced{"serial_traced", base};
   traced.cfg.record_trace = true;

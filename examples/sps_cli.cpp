@@ -11,7 +11,7 @@
 //           [--trace-out=FILE.json] [--metrics-out=FILE.json]
 //           [--arrivals=periodic|sporadic|jittered|bursty] [--sporadic]
 //           [--ready-queue=binomial|pairing|rbtree|vector|calendar]
-//           [--sleep-queue=...] [--event-queue=...] [--shards=N]
+//           [--sleep-queue=...] [--event-queue=...] [--shards=0]
 //           [--acceptance] [--acceptance-validate] [--sets=50] [--jobs=N]
 //           [--online] [--online-requests=128] [--online-leave=0.5]
 //           [--online-epoch-ms=1000] [--online-place=ff|wf|spa]
@@ -78,15 +78,18 @@
 //
 // --acceptance switches from the single-run mode to the paper's
 // acceptance-ratio sweep (exp/acceptance.*) over the default utilization
-// grid, parallelized over --jobs threads (0 = one per hardware thread;
+// grid, parallelized over --jobs threads (0 = one per launch CPU;
 // results are bit-identical for every value). --acceptance-validate
 // additionally SIMULATES every accepted partition (horizon --sim-ms)
 // and reports the fraction that run without a deadline miss.
 //
-// --shards=N runs the per-core sharded simulator with N total threads
-// (this process counts as one; 0 = one per hardware thread) for
-// single-run mode and the validation simulations; results are
-// bit-identical to --shards=1. A run that records a trace or metrics
+// --shards=N picks how single-run mode and the validation simulations
+// shard one simulation per core (DESIGN.md §9). 0 (the default) is
+// automatic: a partition without split tasks runs as independent
+// per-core lanes on up to one thread per CPU the process was launched
+// on (short runs use fewer), one with split tasks runs the serial
+// loop. 1 is the serial loop; N >= 2 forces N total threads (this
+// process counts as one). Results are bit-identical to --shards=1. A run that records a trace or metrics
 // always takes the serial loop, so --shards never changes recorded
 // output (DESIGN.md §10).
 //
@@ -142,11 +145,11 @@
 //   ./build/examples/sps_cli --algo=ffd --overheads=zero --trace
 //   ./build/examples/sps_cli --ready-queue=pairing --event-queue=calendar
 //   ./build/examples/sps_cli --arrivals=bursty --util=0.7
-//   ./build/examples/sps_cli --cores=16 --tasks=96 --shards=0
+//   ./build/examples/sps_cli --cores=16 --tasks=96 --shards=4
 //   ./build/examples/sps_cli --acceptance --jobs=0 --sets=100
 //   ./build/examples/sps_cli --acceptance --acceptance-validate \
 //       --sim-ms=200 --sets=20
-//   ./build/examples/sps_cli --cores=8 --tasks=48 --shards=0 \
+//   ./build/examples/sps_cli --cores=8 --tasks=48 --shards=4 \
 //       --trace-out=run.json --metrics-out=metrics.json
 
 #include <cstdio>
@@ -202,7 +205,7 @@ struct Options {
   bool acceptance_validate = false;
   int sets = 50;
   unsigned jobs = 1;
-  unsigned shards = 1;
+  unsigned shards = 0;
   bool online = false;
   std::size_t online_requests = 128;
   double online_leave = 0.5;

@@ -461,7 +461,7 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg);
 void FillStatsRegistry(obs::StatsRegistry& reg, const ReplayResult& r);
 
 /// Replay independent streams over the worker pool (jobs as in
-/// util::ParallelFor: 1 = serial, 0 = hardware). Stream i's result is
+/// util::ParallelFor: 1 = serial, 0 = launch CPUs). Stream i's result is
 /// identical for every job count — each replay owns its controller and
 /// derives its validation seeds from (cfg.seed, i).
 std::vector<ReplayResult> ReplayBatch(std::span<const WorkloadStream> streams,

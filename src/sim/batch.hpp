@@ -51,7 +51,7 @@ struct BatchRun {
 
 struct BatchOptions {
   /// Total threads of concurrency (1 = serial in the calling thread,
-  /// 0 = one per hardware thread).
+  /// 0 = one per launch CPU).
   unsigned jobs = 1;
 };
 

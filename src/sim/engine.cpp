@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "obs/sink.hpp"
@@ -101,15 +101,20 @@ class Engine final
          const ShardContext* shard = nullptr)
       : Base(MakeKernelConfig(p, cfg), p.tasks.size(), shard),
         p_(p) {
-    for (std::size_t i = 0; i < p.tasks.size(); ++i) {
+    this->ForEachOwnedTask([&](std::size_t i) {
       tasks_[i].pt = &p.tasks[i];
       tasks_[i].stats.id = p.tasks[i].task.id;
+    });
+    // Static queue-size parameter N per core, as in the analysis:
+    // Partition::entries_on for every core, counted in one pass (a valid
+    // partition puts at most one part of a task on a core).
+    n_of_core_.assign(p.num_cores, 0);
+    for (const PlacedTask& pt : p.tasks) {
+      for (const partition::SubtaskPlacement& part : pt.parts) {
+        ++n_of_core_[part.core];
+      }
     }
-    // Static queue-size parameter N per core, as in the analysis.
-    n_of_core_.resize(p.num_cores);
-    for (partition::CoreId c = 0; c < p.num_cores; ++c) {
-      n_of_core_[c] = std::max<std::size_t>(1, p.entries_on(c));
-    }
+    for (std::size_t& n : n_of_core_) n = std::max<std::size_t>(1, n);
   }
 
   using Base::BootShard;
@@ -128,7 +133,6 @@ class Engine final
   using Base::lane_;
   using Base::now_;
   using Base::result_;
-  using Base::router_;
   using Base::tasks_;
 
   // ---- kernel policy hooks ----------------------------------------------
@@ -137,14 +141,13 @@ class Engine final
     // All tasks start in their first core's sleep queue, waking at t=0
     // (synchronous release — the critical instant). A shard boots only
     // the tasks whose first core is its own lane.
-    for (std::size_t i = 0; i < p_.tasks.size(); ++i) {
+    this->ForEachOwnedTask([&](std::size_t i) {
       const partition::CoreId c = FirstCore(i);
-      if (router_ != nullptr && c != lane_) continue;
       tasks_[i].sleep_handle = CoreAt(c).sleep.push(0, i);
       tasks_[i].next_release = 0;
       this->Push(Ev{.t = 0, .kind = EvKind::kTimer, .core = c,
                     .task_idx = i});
-    }
+    });
   }
 
   void Dispatch(const Ev& ev) {
@@ -499,15 +502,115 @@ std::vector<std::vector<std::uint32_t>> SenderLanes(
   return senders;
 }
 
-/// One simulation, sharded per core over the shared worker pool
-/// (DESIGN.md §9). Alternates two barrier-separated phases: every lane
-/// drains its mailbox and publishes the key of its next event, then
-/// every lane dispatches events up to the minimum published key of its
-/// sender lanes (a lane dispatching packed key K can only emit keys >=
-/// K+1 cross-lane, so nothing that orders before the bound can still
-/// arrive). Bit-identical to the serial engine by construction: per-task
-/// RNG streams, deterministic mailbox ordering, unique ready keys.
-/// Non-recording runs only: a run that records takes the serial loop.
+/// The tasks each lane owns: those whose first part sits on its core,
+/// ascending (see kernel::ShardContext::owned).
+std::vector<std::vector<std::size_t>> TasksByFirstCore(
+    const partition::Partition& p) {
+  std::vector<std::vector<std::size_t>> owned(p.num_cores);
+  for (std::size_t i = 0; i < p.tasks.size(); ++i) {
+    owned[p.tasks[i].parts[0].core].push_back(i);
+  }
+  return owned;
+}
+
+/// Job releases each thread must have to itself before automatic mode
+/// runs a decoupled simulation on one more thread (DESIGN.md §9). At
+/// about 8 events a job that is a quarter of a millisecond of lane
+/// work. Waking and joining a worker costs tens of microseconds on a
+/// quiet host, but a whole scheduler slice when the CPUs are contended,
+/// and a worker stalled mid-lane holds up the entire run.
+inline constexpr std::uint64_t kJobsPerLaneThread = 512;
+
+/// Automatic width for a decoupled run: one thread per
+/// kJobsPerLaneThread releases expected in the horizon, at least one
+/// and at most one per launch CPU.
+unsigned AutoLaneThreads(const partition::Partition& p, Time horizon) {
+  const unsigned cpus = util::LaunchCpuCount();
+  const std::uint64_t enough = std::uint64_t{cpus} * kJobsPerLaneThread;
+  std::uint64_t jobs = 0;
+  for (const PlacedTask& pt : p.tasks) {
+    if (jobs >= enough) break;
+    jobs += static_cast<std::uint64_t>(
+                horizon / std::max<Time>(1, pt.task.period)) + 1;
+  }
+  return static_cast<unsigned>(
+      std::clamp<std::uint64_t>(jobs / kJobsPerLaneThread, 1, cpus));
+}
+
+/// Run body(c) for every lane c on `threads` total threads (the caller
+/// included): inline for 1, the shared pool when it is no wider than
+/// asked, else a transient pool of exactly that width (thread spawn is
+/// microseconds against a whole simulation).
+class LanePool {
+ public:
+  explicit LanePool(unsigned threads) {
+    if (threads <= 1) return;
+    pool_ = &util::SharedPool();
+    if (threads - 1 < pool_->num_threads()) {
+      own_ = std::make_unique<util::ThreadPool>(threads - 1);
+      pool_ = own_.get();
+    }
+  }
+
+  void ParallelFor(std::size_t n,
+                   const std::function<void(std::size_t)>& body) {
+    if (pool_ == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) body(i);
+    } else {
+      pool_->ParallelFor(n, body);
+    }
+  }
+
+ private:
+  util::ThreadPool* pool_ = nullptr;
+  std::unique_ptr<util::ThreadPool> own_;
+};
+
+/// Fold the lanes into one result: per-core rows and counters, then the
+/// per-task stats from the shared task array.
+template <typename Eng>
+SimResult MergeLanes(const std::vector<std::unique_ptr<Eng>>& lanes) {
+  SimResult out;
+  out.cores.resize(lanes.size());
+  for (const std::unique_ptr<Eng>& lane : lanes) lane->CollectShardInto(out);
+  lanes[0]->FinalizeTasksInto(out);
+  return out;
+}
+
+/// A decoupled partition (no split task) as m independent lanes
+/// (DESIGN.md §9): no task ever leaves its core, so no event crosses
+/// cores and each lane runs to the horizon on its own — no mailbox, no
+/// bound, no barrier. One ParallelFor body builds, boots and runs a
+/// lane. Bit-identical to the serial loop: a core's events are pushed
+/// and dispatched in the same relative order there, and the merge sums
+/// disjoint per-lane slices.
+template <typename ReadyQ, typename SleepQ, typename EventQ>
+SimResult RunLanes(const partition::Partition& p, const SimConfig& cfg,
+                   unsigned threads) {
+  using Eng = Engine<ReadyQ, SleepQ, EventQ, NullSink>;
+  const std::size_t m = p.num_cores;
+  const std::vector<std::vector<std::size_t>> owned = TasksByFirstCore(p);
+  std::vector<TaskRt<SleepQ>> tasks(p.tasks.size());
+  std::vector<std::unique_ptr<Eng>> lanes(m);
+  LanePool(threads).ParallelFor(m, [&](std::size_t c) {
+    const typename Eng::ShardContext ctx{static_cast<std::uint32_t>(c),
+                                         nullptr, tasks.data(), tasks.size(),
+                                         owned[c]};
+    lanes[c] = std::make_unique<Eng>(p, cfg, &ctx);
+    lanes[c]->BootShard();
+    lanes[c]->RunWindow(Eng::kNoEventKey);
+  });
+  return MergeLanes(lanes);
+}
+
+/// One coupled simulation, sharded per core (DESIGN.md §9). Alternates
+/// two barrier-separated phases: every lane drains its mailbox and
+/// publishes the key of its next event, then every lane dispatches
+/// events up to the minimum published key of its sender lanes (a lane
+/// dispatching packed key K can only emit keys >= K+1 cross-lane, so
+/// nothing that orders before the bound can still arrive). Bit-identical
+/// to the serial engine by construction: per-task RNG streams,
+/// deterministic mailbox ordering, unique ready keys.
 template <typename ReadyQ, typename SleepQ, typename EventQ>
 SimResult RunSharded(const partition::Partition& p, const SimConfig& cfg,
                      unsigned threads) {
@@ -515,27 +618,20 @@ SimResult RunSharded(const partition::Partition& p, const SimConfig& cfg,
   const std::size_t m = p.num_cores;
 
   kernel::ShardRouter<Job> router(m);
+  const std::vector<std::vector<std::size_t>> owned = TasksByFirstCore(p);
   std::vector<TaskRt<SleepQ>> tasks(p.tasks.size());
   std::vector<std::unique_ptr<Eng>> shards;
   shards.reserve(m);
   for (std::size_t c = 0; c < m; ++c) {
-    const typename Eng::ShardContext ctx{
-        static_cast<std::uint32_t>(c), &router, tasks.data(), tasks.size()};
+    const typename Eng::ShardContext ctx{static_cast<std::uint32_t>(c),
+                                         &router, tasks.data(), tasks.size(),
+                                         owned[c]};
     shards.push_back(std::make_unique<Eng>(p, cfg, &ctx));
   }
   const std::vector<std::vector<std::uint32_t>> senders = SenderLanes(p);
 
-  // Honor the requested width: SimConfig::shards caps TOTAL worker
-  // threads (caller included). The shared pool serves full-width runs;
-  // a narrower request gets a transient pool of its own (thread spawn
-  // is microseconds against a whole-simulation run).
-  std::unique_ptr<util::ThreadPool> own_pool;
-  util::ThreadPool* pool = &util::SharedPool();
-  if (threads - 1 < pool->num_threads()) {
-    own_pool = std::make_unique<util::ThreadPool>(threads - 1);
-    pool = own_pool.get();
-  }
-  pool->ParallelFor(m, [&](std::size_t c) { shards[c]->BootShard(); });
+  LanePool pool(threads);
+  pool.ParallelFor(m, [&](std::size_t c) { shards[c]->BootShard(); });
 
   const std::uint64_t horizon_key_max =
       (static_cast<std::uint64_t>(cfg.horizon) << kernel::kEvKindBits) |
@@ -545,7 +641,7 @@ SimResult RunSharded(const partition::Partition& p, const SimConfig& cfg,
 
   for (;;) {
     // Phase 1: deliver cross-lane events, publish every lane's clock.
-    pool->ParallelFor(m, [&](std::size_t c) {
+    pool.ParallelFor(m, [&](std::size_t c) {
       shards[c]->DrainMailbox();
       next_key[c] = shards[c]->NextEventKey();
     });
@@ -582,7 +678,7 @@ SimResult RunSharded(const partition::Partition& p, const SimConfig& cfg,
     // Phase 2: each lane advances through its safe window — every key
     // strictly below anything its senders could still emit. The global
     // minimum holder always qualifies, so every round makes progress.
-    pool->ParallelFor(m, [&](std::size_t c) {
+    pool.ParallelFor(m, [&](std::size_t c) {
       std::uint64_t safe = Eng::kNoEventKey;
       for (const std::uint32_t s : senders[c]) {
         safe = std::min(safe, bound[s]);
@@ -590,12 +686,7 @@ SimResult RunSharded(const partition::Partition& p, const SimConfig& cfg,
       shards[c]->RunWindow(safe);
     });
   }
-
-  SimResult out;
-  out.cores.resize(m);
-  for (std::size_t c = 0; c < m; ++c) shards[c]->CollectShardInto(out);
-  shards[0]->FinalizeTasksInto(out);
-  return out;
+  return MergeLanes(shards);
 }
 
 template <typename ReadyQ, typename SleepQ, typename EventQ, typename Sink>
@@ -606,14 +697,29 @@ SimResult Dispatch(const partition::Partition& p, const SimConfig& cfg) {
   // tie-break width stay serial: with aliased task indices the ready
   // order would degrade to insertion FIFO, which is
   // interleaving-dependent.
+  //
+  // shards == 1 is the serial loop. Otherwise a decoupled partition
+  // runs as independent lanes — on up to one thread per launch CPU,
+  // sized by the expected job count, when automatic; on exactly `shards`
+  // threads when forced; and inline on this thread when it already runs
+  // a body of a multi-threaded batch. A coupled partition runs the
+  // windowed protocol only at a forced width: at automatic width it
+  // stays serial, where the protocol measured slower.
   if constexpr (!Sink::kActive) {
-    const unsigned threads =
-        cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                        : cfg.shards;
     const bool edf_alias = p.policy == partition::SchedPolicy::kEdf &&
                            p.tasks.size() > kEdfTieBreakTasks;
-    if (threads > 1 && p.num_cores > 1 && !edf_alias) {
-      return RunSharded<ReadyQ, SleepQ, EventQ>(p, cfg, threads);
+    if (cfg.shards != 1 && p.num_cores > 1 && !edf_alias) {
+      if (p.num_split_tasks() == 0) {
+        const unsigned threads =
+            util::InParallelBody()
+                ? 1
+                : (cfg.shards == 0 ? AutoLaneThreads(p, cfg.horizon)
+                                   : cfg.shards);
+        return RunLanes<ReadyQ, SleepQ, EventQ>(p, cfg, threads);
+      }
+      if (cfg.shards > 1) {
+        return RunSharded<ReadyQ, SleepQ, EventQ>(p, cfg, cfg.shards);
+      }
     }
   }
   Engine<ReadyQ, SleepQ, EventQ, Sink> engine(p, cfg);

@@ -69,14 +69,19 @@ struct SimConfig {
   /// goes through the type-erased runtime slot (DESIGN.md §9).
   containers::QueueBackend event_backend =
       containers::QueueBackend::kBinomialHeap;
-  /// Worker threads for the per-core sharded run of ONE simulation
-  /// (DESIGN.md §9): 1 = the classic serial event loop, 0 = one thread
-  /// per hardware thread, N = exactly N total threads (the caller
-  /// counts as one). Results are BIT-IDENTICAL for every value
-  /// (tests/test_queue_concept.cpp). Recording runs (record_trace or
-  /// record_metrics) and EDF sets past the 16-bit tie-break width
-  /// always run serial.
-  unsigned shards = 1;
+  /// Per-core sharding of ONE simulation (DESIGN.md §9). 0 = automatic:
+  /// a decoupled partition (no split task) runs as independent per-core
+  /// lanes on one thread per 512 job releases expected in the horizon,
+  /// at most one per CPU the process was launched on — or inline on the
+  /// calling thread when it already runs a body of a multi-threaded
+  /// ParallelFor — and a coupled one runs the serial loop. 1 = the
+  /// classic serial event loop. N >= 2 = exactly N total threads (the
+  /// caller counts as one): lanes when decoupled, the windowed
+  /// sender-clock protocol when coupled. Results are
+  /// BIT-IDENTICAL for every value (tests/test_queue_concept.cpp).
+  /// Recording runs (record_trace or record_metrics) and EDF sets past
+  /// the 16-bit tie-break width always run serial.
+  unsigned shards = 0;
   /// Per-task admission generations, indexed by the task's position in
   /// the partition (ascending id for online-controller partitions;
   /// missing entries = 0). Generation g != 0 salts that task's

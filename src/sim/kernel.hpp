@@ -53,7 +53,8 @@
 // concurrently and still produce bit-identical SimResults: a shard only
 // processes an event once every potential sender shard can no longer
 // emit anything that would order before it (conservative sender-clock
-// windows, DESIGN.md §9).
+// windows, DESIGN.md §9). A shard with no sender runs to the horizon in
+// one window.
 //
 // Observability (DESIGN.md §10): the kernel's third policy slot is the
 // SINK (obs/sink.hpp) — obs::NullSink compiles every trace/metrics hook
@@ -72,6 +73,7 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -574,15 +576,19 @@ class KernelBase {
   }
 
   /// Sharded-run wiring: lane = the one core this kernel instance
-  /// processes, router = the cross-lane mailboxes, tasks = the SHARED
-  /// task-state array (causally partitioned: a task's state is only
-  /// ever touched along its own release->run->migrate->finish event
-  /// chain, whose cross-lane edges all pass through the router).
+  /// processes, router = the cross-lane mailboxes (null when no lane has
+  /// a sender), tasks = the SHARED task-state array (causally
+  /// partitioned: a task's state is only ever touched along its own
+  /// release->run->migrate->finish event chain, whose cross-lane edges
+  /// all pass through the router), owned = the tasks whose first part
+  /// sits on this lane, ascending — the only ones this instance seeds and
+  /// boots, so lanes may be constructed concurrently.
   struct ShardContext {
     std::uint32_t lane = 0;
     ShardRouter<JobT>* router = nullptr;
     TaskRtT* tasks = nullptr;
     std::size_t num_tasks = 0;
+    std::span<const std::size_t> owned;
   };
 
  protected:
@@ -622,18 +628,17 @@ class KernelBase {
       lane_ = shard->lane;
       router_ = shard->router;
       tasks_ = shard->tasks;
+      owned_ = shard->owned;
     } else {
       tasks_own_.resize(num_tasks);
       tasks_ = tasks_own_.data();
     }
     num_tasks_ = num_tasks;
-    // Per-task RNG streams (see TaskRunBase). Re-seeding shared storage
-    // from every shard is idempotent: the seeds depend only on config
-    // and task index, and all shards are constructed before any runs.
-    // A non-zero admission generation re-derives both streams (the
-    // LEAVE/re-ADMIT fix, KernelConfig::exec_generations); generation 0
-    // keeps the historical seeds bit-for-bit.
-    for (std::size_t i = 0; i < num_tasks; ++i) {
+    // Per-task RNG streams (see TaskRunBase), seeded by the task's
+    // owner only. A non-zero admission generation re-derives both
+    // streams (the LEAVE/re-ADMIT fix, KernelConfig::exec_generations);
+    // generation 0 keeps the historical seeds bit-for-bit.
+    ForEachOwnedTask([&](std::size_t i) {
       std::uint64_t eseed = util::DeriveSeed(kcfg.exec.seed, i, 0);
       std::uint64_t aseed = util::DeriveSeed(kcfg.arrivals.seed, i, 1);
       const std::uint32_t gen = i < kcfg.exec_generations.size()
@@ -645,11 +650,22 @@ class KernelBase {
       }
       tasks_[i].exec_rng = util::SplitMix64(eseed);
       tasks_[i].arrival_rng = util::SplitMix64(aseed);
-    }
+    });
   }
 
   Policy& policy() { return static_cast<Policy&>(*this); }
   const Policy& policy() const { return static_cast<const Policy&>(*this); }
+
+  /// f(i) for every task this instance initializes and boots: all of
+  /// them in a serial run, the lane's owned ones in a sharded run.
+  template <typename F>
+  void ForEachOwnedTask(F&& f) const {
+    if (core_slot_mask_ != 0) {
+      for (std::size_t i = 0; i < num_tasks_; ++i) f(i);
+    } else {
+      for (const std::size_t i : owned_) f(i);
+    }
+  }
 
   /// Per-core run state of core `c`. In sharded mode only the lane's own
   /// core exists (slot 0); the mask makes the common serial case a plain
@@ -976,6 +992,7 @@ class KernelBase {
   SinkT sink_;
   std::uint32_t lane_ = 0;
   ShardRouter<JobT>* router_ = nullptr;
+  std::span<const std::size_t> owned_;  ///< sharded runs: see ShardContext
   Time now_ = 0;
   std::uint64_t ev_seq_ = 0;
   /// Streaming-window scratch (reused across drains so the steady state

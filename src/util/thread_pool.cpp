@@ -1,12 +1,51 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace sps::util {
 
+namespace {
+
+/// The affinity mask the process was launched with (taskset, cgroup
+/// cpuset, or the whole machine). `known` is false only if the kernel
+/// refused to report it; then widths fall back to the hardware count
+/// and workers keep the mask they inherit.
+struct LaunchSet {
+  cpu_set_t cpus{};
+  bool known = false;
+  unsigned count = 1;
+};
+
+const LaunchSet& Launch() {
+  static const LaunchSet launch = [] {
+    LaunchSet l;
+    CPU_ZERO(&l.cpus);
+    l.known = sched_getaffinity(0, sizeof(l.cpus), &l.cpus) == 0;
+    l.count = l.known ? static_cast<unsigned>(CPU_COUNT(&l.cpus))
+                      : std::thread::hardware_concurrency();
+    l.count = std::max(1u, l.count);
+    return l;
+  }();
+  return launch;
+}
+
+// Capture the mask during static initialization, before main can pin
+// any thread (a later first call would read the caller's mask instead).
+[[maybe_unused]] const LaunchSet& kLaunchAtStartup = Launch();
+
+thread_local bool t_in_parallel_body = false;
+
+}  // namespace
+
+unsigned LaunchCpuCount() { return Launch().count; }
+
+bool InParallelBody() { return t_in_parallel_body; }
+
 ThreadPool::ThreadPool(unsigned num_threads) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  if (num_threads == 0) num_threads = hw;
+  if (num_threads == 0) num_threads = LaunchCpuCount();
   // Guard against nonsense from CLI/env parsing (e.g. --jobs=-1 wrapped
   // to ~4e9): more workers than 4x the hardware never helps a
   // compute-bound sweep and thread spawning would die trying.
@@ -28,6 +67,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop(std::size_t worker) {
+  if (Launch().known) {
+    // A new thread inherits its creator's mask; a creator that pinned
+    // itself would stack every worker on its one CPU.
+    sched_setaffinity(0, sizeof(Launch().cpus), &Launch().cpus);
+  }
   WorkerCounters& mine = counters_[worker];
   std::uint64_t seen_gen = 0;
   for (;;) {
@@ -68,6 +112,10 @@ void ThreadPool::WorkerLoop(std::size_t worker) {
 }
 
 void ThreadPool::RunIndices(Batch& b, WorkerCounters& counters) {
+  // Only multi-threaded batches get here (single-threaded ones run
+  // inline in ParallelFor), so every body run below is a nested one.
+  const bool outer = t_in_parallel_body;
+  t_in_parallel_body = true;
   std::uint64_t ran = 0;
   for (;;) {
     const std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
@@ -86,6 +134,7 @@ void ThreadPool::RunIndices(Batch& b, WorkerCounters& counters) {
   // One relaxed add per BATCH, not per index — the gauges must not tax
   // the fetch-add claim loop they observe.
   if (ran > 0) counters.indices.fetch_add(ran, std::memory_order_relaxed);
+  t_in_parallel_body = outer;
 }
 
 void ThreadPool::ParallelFor(
@@ -128,7 +177,7 @@ void ParallelFor(unsigned jobs, std::size_t n,
     return;
   }
   // `jobs` counts TOTAL threads working; the caller is one of them.
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
+  if (jobs == 0) jobs = LaunchCpuCount();
   if (jobs == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
@@ -175,12 +224,11 @@ ThreadPool::PoolStats ThreadPool::Stats() const {
 }
 
 ThreadPool& SharedPool() {
-  // At least one worker even on a single-hardware-thread host: callers
+  // At least one worker even on a single-CPU launch set: callers
   // (the sharded simulator) are correct for ANY worker count, but a
   // zero-worker pool would silently run every batch inline and leave
   // the cross-thread paths untested wherever CI happens to be narrow.
-  static ThreadPool pool(
-      std::max(2u, std::thread::hardware_concurrency()) - 1);
+  static ThreadPool pool(std::max(2u, LaunchCpuCount()) - 1);
   return pool;
 }
 

@@ -22,6 +22,11 @@
 // callers must write results only into per-index slots. Every harness
 // built on top (sim/batch.*, exp/acceptance.*) derives per-unit RNG
 // seeds so outputs are bit-identical for ANY thread count, including 0.
+//
+// CPU placement: every "0 = automatic" width sizes from the CPU set the
+// process was LAUNCHED on (its affinity mask, captured before main), and
+// pool workers run on that whole set — never on the mask of the thread
+// that happened to create the pool, which may have pinned itself.
 
 #include <atomic>
 #include <condition_variable>
@@ -41,8 +46,9 @@ namespace sps::util {
 
 class ThreadPool {
  public:
-  /// Spawn `num_threads` workers (0 = one per hardware thread). The pool
-  /// is fixed-size for its lifetime; workers sleep when idle.
+  /// Spawn `num_threads` workers (0 = one per launch CPU). The pool is
+  /// fixed-size for its lifetime; workers sleep when idle and run on the
+  /// launch CPU set.
   explicit ThreadPool(unsigned num_threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -148,24 +154,34 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// CPUs in the set this process was launched on (at least 1): the width
+/// of every automatic setting — ThreadPool(0), ParallelFor(jobs = 0),
+/// SharedPool() and sim::SimConfig::shards = 0.
+unsigned LaunchCpuCount();
+
+/// True while the calling thread runs a body of a multi-threaded
+/// ParallelFor batch. Work that could fan out on its own (a simulation's
+/// per-core lanes, DESIGN.md §9) runs inline there instead: the outer
+/// batch already occupies the CPUs.
+bool InParallelBody();
+
 /// Run body over [0, n) with `jobs` total threads of concurrency:
 /// jobs == 1 runs inline (no pool, no synchronization), jobs == 0 uses
-/// one thread per hardware thread. Results are identical for any value —
+/// one thread per launch CPU. Results are identical for any value —
 /// the serial path IS the specification of the parallel one. Spins up a
 /// TRANSIENT pool per call (microseconds — noise next to any experiment
 /// sweep); hold a ThreadPool yourself if that ever shows up.
 void ParallelFor(unsigned jobs, std::size_t n,
                  const std::function<void(std::size_t)>& body);
 
-/// Process-wide lazily-created pool with one worker per hardware thread
-/// minus one (the caller of ParallelFor participates, so total
-/// concurrency is the hardware). The sharded simulator's round protocol
-/// (DESIGN.md §9) dispatches two small batches per window — spawning a
-/// transient pool per simulation would put thread creation on the
-/// measured path, so those batches run here. Concurrent ParallelFor
-/// calls on this pool are safe (each caller drains its own batch) but
-/// serialize worker help; callers needing guaranteed width should own a
-/// ThreadPool.
+/// Process-wide lazily-created pool with one worker per launch CPU minus
+/// one, but at least one (the caller of ParallelFor participates, so
+/// total concurrency is the launch set). The sharded simulator
+/// (DESIGN.md §9) runs its lanes here — spawning a transient pool per
+/// simulation would put thread creation on the measured path.
+/// Concurrent ParallelFor calls on this pool are safe (each caller
+/// drains its own batch) but serialize worker help; callers needing
+/// guaranteed width should own a ThreadPool.
 ThreadPool& SharedPool();
 
 }  // namespace sps::util

@@ -5,12 +5,16 @@
 // count — the serial run is the specification of the parallel one.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exp/acceptance.hpp"
@@ -80,7 +84,7 @@ TEST(ThreadPool, SubmitReturnsFutures) {
 }
 
 TEST(ThreadPool, FreeFunctionSerialAndZeroJobs) {
-  // jobs=1 must run inline; jobs=0 sizes from the hardware.
+  // jobs=1 must run inline; jobs=0 sizes from the launch CPU set.
   std::vector<int> order;
   util::ParallelFor(1, 5, [&](std::size_t i) {
     order.push_back(static_cast<int>(i));  // unsynchronized: inline only
@@ -89,6 +93,69 @@ TEST(ThreadPool, FreeFunctionSerialAndZeroJobs) {
   std::atomic<int> n{0};
   util::ParallelFor(0, 100, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 100);
+}
+
+TEST(ThreadPool, WorkersRunOnTheLaunchCpuSet) {
+  // A caller that pins itself (as svcbench does per pass) must not drag
+  // the workers it spawns onto its one CPU: every worker runs on the CPU
+  // set the process was launched on.
+  cpu_set_t launch;
+  CPU_ZERO(&launch);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(launch), &launch), 0);
+  ASSERT_EQ(static_cast<unsigned>(CPU_COUNT(&launch)),
+            util::LaunchCpuCount());
+  if (CPU_COUNT(&launch) < 2) GTEST_SKIP() << "launch set has one CPU";
+  int first = 0;
+  while (!CPU_ISSET(first, &launch)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  constexpr unsigned kWorkers = 3;
+  std::mutex mu;
+  std::vector<cpu_set_t> worker_masks;
+  {
+    util::ThreadPool pool(kWorkers);
+    // One index per thread: each body waits until every thread holds an
+    // index, so all workers (and the caller) take part.
+    std::atomic<unsigned> arrived{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(kWorkers + 1, [&](std::size_t) {
+      ++arrived;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < kWorkers + 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (std::this_thread::get_id() == caller) return;
+      cpu_set_t mask;
+      CPU_ZERO(&mask);
+      sched_getaffinity(0, sizeof(mask), &mask);
+      std::lock_guard<std::mutex> lock(mu);
+      worker_masks.push_back(mask);
+    });
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(launch), &launch), 0);
+
+  ASSERT_EQ(worker_masks.size(), kWorkers);
+  for (const cpu_set_t& mask : worker_masks) {
+    EXPECT_TRUE(CPU_EQUAL(&mask, &launch));
+  }
+}
+
+TEST(ThreadPool, BodiesOfMultiThreadedBatchesAreMarkedNested) {
+  EXPECT_FALSE(util::InParallelBody());
+  std::atomic<int> nested{0};
+  util::ParallelFor(4, 16, [&](std::size_t) {
+    if (util::InParallelBody()) ++nested;
+  });
+  EXPECT_EQ(nested.load(), 16);
+  EXPECT_FALSE(util::InParallelBody());
+  util::ParallelFor(1, 4, [&](std::size_t) {
+    EXPECT_FALSE(util::InParallelBody());  // inline: nothing to nest in
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "overhead/model.hpp"
@@ -21,6 +22,7 @@
 #include "rt/task.hpp"
 #include "sim/engine.hpp"
 #include "sim/global_engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sps::containers {
 namespace {
@@ -406,7 +408,13 @@ TEST(DifferentialSim, IdenticalAcrossEventBackendsUnderJitterAndBursts) {
 // (SimConfig::shards, DESIGN.md §9) is bit-identical to the classic
 // serial event loop — per backend, per arrival model, with overheads
 // and random execution times, for FP and EDF(-WM) partitions alike.
+// Coupled partitions (split tasks) pass an explicit width: automatic
+// mode runs them serial, a forced width runs the windowed protocol.
 // ---------------------------------------------------------------------------
+
+/// A forced shard width, wider than the two-lane case each test also
+/// runs.
+constexpr unsigned kForcedWidth = 4;
 
 TEST(ShardedSim, IdenticalToSerialAcrossBackendsAndArrivals) {
   const partition::Partition p = DifferentialPartition();
@@ -426,7 +434,7 @@ TEST(ShardedSim, IdenticalToSerialAcrossBackendsAndArrivals) {
       cfg.shards = 1;
       const SimResult serial = Simulate(p, cfg);
       EXPECT_GT(serial.total_migrations, 0u);
-      for (const unsigned shards : {2u, 0u}) {
+      for (const unsigned shards : {2u, kForcedWidth}) {
         cfg.shards = shards;
         ExpectSameResult(
             serial, Simulate(p, cfg),
@@ -442,7 +450,8 @@ TEST(ShardedSim, IdenticalToSerialAcrossBackendsAndArrivals) {
 TEST(ShardedSim, IdenticalToSerialOnGeneratedSpa2Workload) {
   // A generator-produced 4-core SPA2 partition — whatever split
   // structure SPA2 emits, the sharded run must reproduce the serial one
-  // exactly, devirtualized default backends included.
+  // exactly, devirtualized default backends included. (This seed places
+  // without a split, so the sharded run takes the per-core lanes.)
   rt::GeneratorConfig gen;
   gen.num_tasks = 24;
   gen.total_utilization = 3.4;
@@ -459,8 +468,9 @@ TEST(ShardedSim, IdenticalToSerialOnGeneratedSpa2Workload) {
   cfg.overheads = overhead::OverheadModel::PaperCoreI7();
   cfg.exec.kind = ExecModel::Kind::kUniform;
   cfg.arrivals.kind = ArrivalModel::Kind::kSporadicUniformDelay;
+  cfg.shards = 1;
   const SimResult serial = Simulate(pr.partition, cfg);
-  cfg.shards = 0;
+  cfg.shards = kForcedWidth;
   ExpectSameResult(serial, Simulate(pr.partition, cfg),
                    "sharded generated SPA2");
 }
@@ -468,7 +478,8 @@ TEST(ShardedSim, IdenticalToSerialOnGeneratedSpa2Workload) {
 TEST(ShardedSim, IdenticalToSerialUnderEdfWmWindows) {
   // EDF-WM split windows are THE cross-core coupling the window-barrier
   // protocol exists for; jittered arrivals stress the shed/overrun
-  // paths on top.
+  // paths on top. (This generated set places without a split, so its
+  // sharded runs take the per-core lanes.)
   rt::GeneratorConfig gen;
   gen.num_tasks = 16;
   gen.total_utilization = 3.2;
@@ -483,8 +494,9 @@ TEST(ShardedSim, IdenticalToSerialUnderEdfWmWindows) {
   cfg.horizon = Millis(400);
   cfg.overheads = overhead::OverheadModel::PaperCoreI7();
   cfg.arrivals.kind = ArrivalModel::Kind::kJittered;
+  cfg.shards = 1;
   const SimResult serial = Simulate(pr.partition, cfg);
-  for (const unsigned shards : {2u, 0u}) {
+  for (const unsigned shards : {2u, kForcedWidth}) {
     SimConfig scfg2 = cfg;
     scfg2.shards = shards;
     ExpectSameResult(serial, Simulate(pr.partition, scfg2),
@@ -493,10 +505,13 @@ TEST(ShardedSim, IdenticalToSerialUnderEdfWmWindows) {
 }
 
 TEST(ShardedSim, IdenticalToSerialOnDecoupledPartition) {
-  // The shape where sharding can pay: a whole-task (0-split) FFD
-  // placement at m=64, like the online service's validation sims. No
-  // lane has a sender, so every lane runs to the horizon in one window.
-  // The same placement runs once as FP and once as EDF.
+  // The shape where sharding pays: a whole-task (0-split) FFD placement
+  // at m=64, like the online service's validation sims. No task leaves
+  // its core, so the run splits into independent per-core lanes. The
+  // same placement runs once as FP and once as EDF, and every way of
+  // running the lanes — a forced width, the automatic default, and the
+  // default from inside a multi-threaded batch body (lanes inline on
+  // that thread) — matches the serial loop.
   rt::GeneratorConfig gen;
   gen.num_tasks = 384;
   gen.total_utilization = 0.7 * 64;
@@ -518,15 +533,26 @@ TEST(ShardedSim, IdenticalToSerialOnDecoupledPartition) {
     cfg.overheads = overhead::OverheadModel::PaperCoreI7();
     cfg.exec.kind = ExecModel::Kind::kUniform;
     cfg.arrivals.kind = ArrivalModel::Kind::kSporadicUniformDelay;
-    const SimResult serial = Simulate(p, cfg);
+    SimConfig serial_cfg = cfg;
+    serial_cfg.shards = 1;
+    const SimResult serial = Simulate(p, serial_cfg);
     EXPECT_EQ(serial.total_migrations, 0u);
     EXPECT_GT(serial.total_preemptions, 0u);
-    for (const unsigned shards : {2u, 0u}) {
-      cfg.shards = shards;
-      ExpectSameResult(serial, Simulate(p, cfg),
-                       "decoupled policy=" +
-                           std::to_string(static_cast<int>(policy)) +
-                           " shards=" + std::to_string(shards));
+    const std::string what =
+        "decoupled policy=" + std::to_string(static_cast<int>(policy));
+
+    SimConfig forced = cfg;
+    forced.shards = 2;
+    ExpectSameResult(serial, Simulate(p, forced), what + " shards=2");
+    ExpectSameResult(serial, Simulate(p, cfg), what + " automatic");
+
+    std::vector<SimResult> nested(4);
+    util::ParallelFor(4, nested.size(), [&](std::size_t i) {
+      nested[i] = Simulate(p, cfg);
+    });
+    for (std::size_t i = 0; i < nested.size(); ++i) {
+      ExpectSameResult(serial, nested[i],
+                       what + " automatic nested #" + std::to_string(i));
     }
   }
 }
@@ -563,9 +589,10 @@ TEST(ShardedSim, WideEdfTieBreakShardsBeyond1024Tasks) {
   SimConfig cfg;
   cfg.horizon = Millis(120);
   cfg.overheads = overhead::OverheadModel::PaperCoreI7();
+  cfg.shards = 1;
   const SimResult serial = Simulate(p, cfg);
   EXPECT_GT(serial.total_migrations, 0u);
-  for (const unsigned shards : {2u, 0u}) {
+  for (const unsigned shards : {2u, kForcedWidth}) {
     cfg.shards = shards;
     ExpectSameResult(serial, Simulate(p, cfg),
                      "wide EDF shards=" + std::to_string(shards));

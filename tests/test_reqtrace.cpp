@@ -471,7 +471,7 @@ std::string DecisionFingerprint(const ReplayResult& r) {
 
 TEST(ReqtraceDifferential, TracingLeavesDecisionsByteIdenticalAcrossShards) {
   const WorkloadStream stream = DiffStream(31);
-  // shards: 0 = hardware, 1 = serial, 2 = two sim threads; shards==0 in
+  // shards: 0 = automatic, 1 = serial, 2 = two sim threads; shards==0 in
   // DiffConfig means no epoch validation at all (the cheap lane).
   for (const unsigned shards : {1u, 2u, 0u}) {
     // Each replay gets its OWN cold memo table: the process-wide shared
